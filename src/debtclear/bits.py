@@ -22,20 +22,6 @@ def bit_positions(mask: int) -> list[int]:
     return out
 
 
-def submask_array(mask: int) -> np.ndarray:
-    """All 2^k submasks of ``mask`` as an ascending int64 array.
-
-    Built by doubling: every new bit is higher than all previous ones, so
-    appending ``existing | bit`` keeps the array globally ascending.
-    """
-    out = np.zeros(1, dtype=MASK_DTYPE)
-    while mask:
-        low = mask & -mask
-        out = np.concatenate([out, out | MASK_DTYPE(low)])
-        mask ^= low
-    return out
-
-
 def popcount_array(masks: np.ndarray) -> np.ndarray:
     """Per-element popcount of an int64 mask array."""
     return np.bitwise_count(masks).astype(np.int64)

@@ -43,11 +43,16 @@ def _parse_test_list(text: str) -> list[int]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if "-" in chunk:
-            lo, hi = chunk.split("-", 1)
-            ids.extend(range(int(lo), int(hi) + 1))
-        else:
-            ids.append(int(chunk))
+        lo, sep, hi = chunk.partition("-")
+        try:
+            span = range(int(lo), int(hi if sep else lo) + 1)
+        except ValueError:
+            raise DebtClearError(f"malformed test list entry {chunk!r}") from None
+        if not span:
+            raise DebtClearError(f"empty test range {chunk!r}")
+        ids.extend(span)
+    if not ids:
+        raise DebtClearError("no test ids given")
     for t in ids:
         if t not in CASE_TABLE:
             raise DebtClearError(f"unknown test id {t}")

@@ -2,29 +2,34 @@
 
 The engine tracks the set of nodes whose net balance is nonzero (each one
 pinned to a slot index) and a dense array holding, for every subset of
-live slots, the sum of member balances.  Arc insertions patch the array
-incrementally instead of rebuilding it:
+live slots, the sum of member balances.  Every pass over that array goes
+through one view: reshaped to one length-2 axis per slot, the table is
+indexed with 1 or 0 on the slots a pass fixes, 0 on every vacant slot,
+and a full slice on the remaining live slots, which covers exactly the
+live submasks of the chosen shape.  Arc insertions patch such views in
+place instead of rebuilding the array:
 
-* adding x to one endpoint touches every subset containing that node but
-  not the other (half of which is recomputed from scratch when the node
+* adding x to one endpoint adds x to the view "this endpoint set, the
+  other clear" (or recomputes it from "both clear" when the endpoint
   just gained a slot), and
-* when either endpoint is fresh, subsets containing both endpoints are
-  recomputed from their two-node-free predecessor.
+* when either endpoint is fresh, the view "both set" is recomputed from
+  "both clear".
 
 When a node's balance returns to zero its slot is recycled and the array
-entries mentioning that slot are deliberately left stale; a later
-occupant recomputes them on entry.  Only masks contained in the live
-mask are ever meaningful.
+entries mentioning that slot are deliberately left stale; views fix
+vacant slots to 0, so those entries are never read, and a later occupant
+recomputes them on entry.  Only masks contained in the live mask are
+ever meaningful.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .bits import MASK_DTYPE, bit_positions, submask_array
+from .bits import MASK_DTYPE, bit_positions
 from .errors import (
     AmountError,
     CapacityError,
@@ -109,9 +114,30 @@ class SubsetSumEngine:
 
     def zero_sets(self) -> ZeroSetList:
         """All nonempty subsets of the live mask with zero balance sum."""
-        subs = submask_array(self._live_mask)
-        zero = subs[self._sums[subs] == 0]
-        return ZeroSetList(zero[zero != 0], _trusted=True)
+        hits = np.flatnonzero(self._region() == 0)
+        hits = hits[hits != 0]
+        # bit i of a hit stands for the i-th live slot; while slots 0..n-1
+        # are all live, the low n bits are already in place
+        live = bit_positions(self._live_mask)
+        n = sum(slot == i for i, slot in enumerate(live))
+        masks = hits & ((1 << n) - 1)
+        for i in range(n, len(live)):
+            masks |= (hits & (1 << i)) << (live[i] - i)
+        return ZeroSetList(masks, _trusted=True)
+
+    def _region(self, ones: Iterable[int] = (), zeros: Iterable[int] = ()) -> np.ndarray:
+        """Writable view of the sums over live submasks with ``ones`` set and ``zeros`` clear.
+
+        A slot named in both counts as set; vacant slots are always clear.
+        Axes of the view are the remaining live slots, highest first, so
+        its C-order flattening lists the masks in ascending order.
+        """
+        idx = [slice(None) if self._live_mask >> s & 1 else 0 for s in range(self._width)]
+        for s in zeros:
+            idx[s] = 0
+        for s in ones:
+            idx[s] = 1
+        return self._sums.reshape((2,) * self._width)[tuple(reversed(idx)) + (...,)]
 
     # ---- slot management ----------------------------------------------
 
@@ -151,42 +177,16 @@ class SubsetSumEngine:
     def _free_slots_available(self) -> int:
         return len(self._free) + (self._capacity - self._width)
 
-    def _patch(self, bit: int, delta: Money, subs: np.ndarray, fresh: bool) -> None:
-        """Apply ``delta`` to sums of subsets ``s | bit`` for s in ``subs``.
-
-        ``fresh`` recomputes each entry from its bit-free predecessor,
-        which is how stale entries regain validity.
-        """
-        targets = subs | MASK_DTYPE(bit)
-        if fresh:
-            self._sums[targets] = self._sums[subs] + delta
-        else:
-            self._sums[targets] += delta
-        self._touched_last += len(subs)
-
-    def update_sums(self, u: NodeId, v: NodeId, x: Money) -> None:
-        """Adjust sums of all subsets containing ``u`` but not ``v`` by ``x``.
-
-        When ``u``'s balance equals ``x`` (it just gained its slot) each
-        entry is recomputed from the subset without ``u`` instead of
-        patched, restoring validity of the stale region.
-        """
-        slot = self._slot_of_node.get(u)
-        if slot is None:
-            raise ContractError(f"node {u} holds no slot; cannot update its sums")
-        ubit = 1 << slot
-        vslot = self._slot_of_node.get(v)
-        vbit = (1 << vslot) if vslot is not None else 0
-        subs = submask_array(self._live_mask & ~ubit & ~vbit)
-        self._touched_last = 0
-        self._patch(ubit, x, subs, fresh=self._debts.get(u, 0) == x)
-
     def apply_arc_delta(self, u: NodeId, v: NodeId, x: Money) -> None:
         """Record that ``u`` must pay ``x`` to ``v`` and repair the sums.
 
-        Adjusts both balances, moves the endpoints in or out of the live
-        slot set, and with k live slots touches at most ``3 * 2^(k - 2)``
-        sums entries.
+        Adjusts both balances and moves the endpoints in or out of the
+        live slot set.  Each endpoint still live then has ``x`` (or
+        ``-x``) added to its view "this endpoint set, the other clear";
+        an endpoint that just gained its slot has that view recomputed
+        from "both clear" instead, and then "both set" is recomputed from
+        "both clear" too.  With k live slots each view holds ``2^(k - 2)``
+        entries, so at most ``3 * 2^(k - 2)`` are touched.
         """
         if u == v:
             raise LoopError(f"arc from node {u} to itself")
@@ -228,20 +228,25 @@ class SubsetSumEngine:
             del self._debts[v]
             self._leave_vstar(v)
 
-        uslot = self._slot_of_node.get(u)
-        vslot = self._slot_of_node.get(v)
-        ubit = (1 << uslot) if uslot is not None else 0
-        vbit = (1 << vslot) if vslot is not None else 0
-        subs = submask_array(self._live_mask & ~ubit & ~vbit)
+        ends = [s for s in (self._slot_of_node.get(u), self._slot_of_node.get(v)) if s is not None]
+        base = self._region(zeros=ends)
+        fresh = False
         self._touched_last = 0
-        if new_u != 0:
-            self._patch(ubit, x, subs, fresh=new_u == x)
-        if new_v != 0:
-            self._patch(vbit, -x, subs, fresh=new_v == -x)
-        if (new_u == x or new_v == -x) and ubit and vbit:
-            targets = subs | MASK_DTYPE(ubit | vbit)
-            self._sums[targets] = self._sums[subs] + (new_u + new_v)
-            self._touched_last += len(subs)
+        for node, delta in ((u, x), (v, -x)):
+            slot = self._slot_of_node.get(node)
+            if slot is None:
+                continue
+            dst = self._region(ones=(slot,), zeros=ends)
+            if self._debts[node] == delta:
+                fresh = True
+                np.add(base, delta, out=dst)
+            else:
+                dst += delta
+            self._touched_last += dst.size
+        if fresh and len(ends) == 2:
+            dst = self._region(ones=ends)
+            np.add(base, new_u + new_v, out=dst)
+            self._touched_last += dst.size
 
     # ---- batch construction ---------------------------------------------
 
@@ -249,8 +254,8 @@ class SubsetSumEngine:
         """Reset the engine to the given balances in one batch pass.
 
         Slots are assigned to nonzero-balance nodes in ascending node
-        order, and each subset sum is computed with a single addition
-        from the subset missing the lowest slot.
+        order, and the table is filled by doubling: the sums with slot j
+        set are the sums below ``2^j`` plus slot j's balance.
         """
         nonzero = sorted((u, d) for u, d in debts.items() if d != 0)
         k = len(nonzero)
@@ -273,11 +278,8 @@ class SubsetSumEngine:
 
         sums = np.empty(1 << k, dtype=MASK_DTYPE)
         sums[0] = 0
-        vals = np.array([d for _, d in nonzero], dtype=MASK_DTYPE)
-        for j in range(k - 1, -1, -1):
-            low = 1 << j
-            idx = np.arange(low, 1 << k, 2 * low, dtype=MASK_DTYPE)
-            sums[idx] = sums[idx - low] + vals[j]
+        for j, (_, d) in enumerate(nonzero):
+            np.add(sums[: 1 << j], d, out=sums[1 << j : 2 << j])
         self._sums = sums
 
     # ---- block removal ---------------------------------------------------

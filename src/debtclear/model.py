@@ -128,9 +128,7 @@ def _plan_balances(plan: TransactionPlan) -> dict[NodeId, Money]:
 
 def is_equivalent(borrowings: Iterable[Borrowing], plan: TransactionPlan) -> bool:
     """True iff ``plan`` induces exactly the same balance vector as the borrowings."""
-    want = {k: v for k, v in balances_of(borrowings).items() if v != 0}
-    got = {k: v for k, v in _plan_balances(plan).items() if v != 0}
-    return want == got
+    return plan_settles(balances_of(borrowings), plan)
 
 
 def plan_settles(debts: Mapping[NodeId, Money], plan: TransactionPlan) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from debtclear import Borrowing, SplitMix64
-from debtclear.bits import MASK_DTYPE, bit_positions, submask_array
+from debtclear.bits import MASK_DTYPE, bit_positions
 from debtclear.engine import SubsetSumEngine
 
 EXAMPLE1 = [
@@ -25,6 +25,12 @@ EXAMPLE1 = [
 EXAMPLE1_BALANCES = {1: 10, 2: -5, 3: 0, 4: 5, 5: -10}
 
 
+def live_submasks(engine: SubsetSumEngine) -> np.ndarray:
+    """Every submask of the live mask, ascending, by plain enumeration."""
+    m = np.arange(1 << len(engine.node_slots()), dtype=MASK_DTYPE)
+    return m[(m & ~engine.live_mask) == 0]
+
+
 def audit_sums(engine: SubsetSumEngine) -> bool:
     """True iff every live-mask sums entry matches direct summation.
 
@@ -33,7 +39,7 @@ def audit_sums(engine: SubsetSumEngine) -> bool:
     side is read straight off the array (read-only white box) so audits
     stay cheap enough to run after every operation.
     """
-    subs = submask_array(engine.live_mask)
+    subs = live_submasks(engine)
     expect = np.zeros(len(subs), dtype=MASK_DTYPE)
     for u, d in engine.balances().items():
         bit = 1 << engine.slot_of(u)
@@ -66,7 +72,7 @@ def mask_of_nodes(engine: SubsetSumEngine, nodes) -> int:
 
 def engine_digest(engine: SubsetSumEngine):
     """Observable state: balances, slot layout, and live-mask sums."""
-    subs = submask_array(engine.live_mask)
+    subs = live_submasks(engine)
     return (
         tuple(sorted(engine.balances().items())),
         engine.live_mask,

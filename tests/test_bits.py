@@ -1,28 +1,12 @@
 import numpy as np
-from hypothesis import given
-from hypothesis import strategies as st
 
-from debtclear.bits import bit_positions, popcount_array, submask_array
+from debtclear.bits import bit_positions, popcount_array
 
 
 def test_bit_positions():
     assert bit_positions(0) == []
     assert bit_positions(0b1) == [0]
     assert bit_positions(0b101001) == [0, 3, 5]
-
-
-def test_submask_array_small():
-    assert submask_array(0).tolist() == [0]
-    assert submask_array(0b101).tolist() == [0, 1, 4, 5]
-    assert submask_array(0b110).tolist() == [0, 2, 4, 6]
-
-
-@given(st.integers(min_value=0, max_value=(1 << 16) - 1))
-def test_submask_array_complete_and_sorted(mask):
-    subs = submask_array(mask)
-    assert len(subs) == 1 << mask.bit_count()
-    assert np.all(np.diff(subs) > 0) or len(subs) == 1
-    assert np.all((subs & mask) == subs)
 
 
 def test_popcount_array():

@@ -89,3 +89,19 @@ def test_bench_test_range_parsing(capsys):
 def test_bench_unknown_test(capsys):
     assert main(["bench", "--tests", "42"]) == 2
     assert "unknown test id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tests, message",
+    [
+        ("3-", "malformed"),
+        ("abc", "malformed"),
+        ("-3", "malformed"),
+        ("8-5", "empty test range"),
+        (",", "no test ids"),
+    ],
+)
+def test_bench_bad_test_list(capsys, tests, message):
+    assert main(["bench", "--tests", tests]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

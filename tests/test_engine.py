@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,47 +90,6 @@ def test_capacity_error_leaves_state_unchanged():
     assert engine_digest(eng) == before
 
 
-# ---- update_sums -------------------------------------------------------
-
-
-def test_update_sums_singleton_entry():
-    eng = SubsetSumEngine()
-    slot = eng.enter_vstar(5)
-    eng._debts[5] = 5  # white box: balance set as apply_arc_delta would
-    eng.update_sums(5, 6, 5)
-    assert eng.subset_sum(1 << slot) == 5
-
-
-def test_update_sums_existing_node_patch():
-    eng = SubsetSumEngine()
-    eng.rebuild_from_debts({1: 3, 2: -3})  # slots: 1 -> 0, 2 -> 1
-    eng._debts[1] = 7  # balance already moved; sums not yet updated
-    eng.update_sums(1, 2, 4)
-    assert eng.subset_sum(0b01) == 7
-    # masks containing node 2 are untouched by this call
-    assert eng.subset_sum(0b11) == 0
-    assert eng.subset_sum(0b10) == -3
-
-
-def test_update_sums_fresh_node_recomputes():
-    eng = SubsetSumEngine()
-    eng.rebuild_from_debts({1: 5, 2: -5})  # slots: 1 -> 0, 2 -> 1
-    eng.enter_vstar(3)  # slot 2
-    eng._debts[3] = 2
-    eng.update_sums(3, 1, 2)  # fresh: balance equals the delta
-    assert eng.subset_sum(0b100) == 2
-    assert eng.subset_sum(0b110) == -3  # {3, 2} = sums[{2}] + 2
-    # masks containing node 1 (the excluded endpoint) untouched
-    assert eng.subset_sum(0b001) == 5
-    assert eng.subset_sum(0b010) == -5
-
-
-def test_update_sums_requires_slot():
-    eng = SubsetSumEngine()
-    with pytest.raises(ContractError):
-        eng.update_sums(1, 2, 5)
-
-
 # ---- apply_arc_delta ----------------------------------------------------
 
 
@@ -194,6 +154,14 @@ def test_apply_touch_count_bound():
     eng.apply_arc_delta(7, 2, 1)
     k = eng.vstar_size
     assert eng.last_touched_sums <= 3 * 2 ** (k - 2)
+    # vacant slots below live ones are not swept: the count follows the live k
+    eng.apply_arc_delta(2, 1, 11)
+    eng.apply_arc_delta(2, 7, 1)  # nodes 1, 2 and 7 cancel: slots 0, 1 and 6 fall vacant
+    assert eng.live_mask == 0b111100
+    k = eng.vstar_size
+    eng.apply_arc_delta(3, 4, 1)
+    assert eng.last_touched_sums == 2 * 2 ** (k - 2)
+    assert audit_sums(eng)
 
 
 # ---- rebuild_from_debts ---------------------------------------------------
@@ -204,6 +172,7 @@ def test_rebuild_all_zero():
     eng.rebuild_from_debts({1: 0, 2: 0})
     assert eng.live_mask == 0
     assert eng.subset_sum(0) == 0
+    assert len(eng.zero_sets()) == 0
 
 
 def test_rebuild_example_final_state():
@@ -317,5 +286,7 @@ def test_zero_sets_match_enumeration_after_random_ops():
         if v >= u:
             v += 1
         eng.apply_arc_delta(u, v, rng.randint(1, 9))
-        got = {nodes_of_mask(eng, m) for m in eng.zero_sets()}
+        zs = eng.zero_sets()
+        assert np.all(np.diff(zs.masks) > 0)
+        got = {nodes_of_mask(eng, m) for m in zs}
         assert got == brute_zero_node_sets(eng.balances())
