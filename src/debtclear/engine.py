@@ -24,7 +24,6 @@ ever meaningful.
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -48,10 +47,12 @@ MAX_CAPACITY = 63
 class SubsetSumEngine:
     """Net balances plus subset sums over the nonzero-balance nodes.
 
-    ``capacity`` bounds how many slots may ever be allocated; the sums
-    array grows by doubling as slots are first used, so memory is
-    ``2^(slots in use) * 8`` bytes (128 MiB if all 24 default slots are
-    occupied at once).
+    ``capacity`` bounds how many slots may ever be allocated.  The sums
+    table holds ``2^width`` int64 entries, where width is the peak number
+    of nonzero balances held at once since the last batch rebuild (128
+    MiB if all 24 default slots were ever occupied together); it grows by
+    doubling as slots are first used and never shrinks as balances
+    settle.  Each pass over it touches only the live submasks.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
@@ -62,7 +63,6 @@ class SubsetSumEngine:
         self._sums = np.zeros(1, dtype=MASK_DTYPE)
         self._node_of_slot: list[NodeId | None] = []
         self._slot_of_node: dict[NodeId, int] = {}
-        self._free: list[int] = []
         self._live_mask = 0
         self._debts: dict[NodeId, Money] = {}
         self._pos_total = 0
@@ -144,14 +144,15 @@ class SubsetSumEngine:
     def enter_vstar(self, u: NodeId) -> int:
         """Assign a slot to ``u``, which is about to gain a nonzero balance.
 
-        Recycled slots are preferred (lowest index first).  Sums entries
-        for masks containing the slot are stale until the caller runs the
-        recomputation branch of the update.
+        Vacant slots below the width are preferred (lowest index first).
+        Sums entries for masks containing the slot are stale until the
+        caller runs the recomputation branch of the update.
         """
         if u in self._slot_of_node:
             raise ContractError(f"node {u} already holds a slot")
-        if self._free:
-            slot = heapq.heappop(self._free)
+        vacant = ~self._live_mask & ((1 << self._width) - 1)
+        if vacant:
+            slot = (vacant & -vacant).bit_length() - 1
         elif self._width < self._capacity:
             slot = self._width
             self._width += 1
@@ -170,12 +171,8 @@ class SubsetSumEngine:
         slot = self._slot_of_node.pop(u)
         self._node_of_slot[slot] = None
         self._live_mask &= ~(1 << slot)
-        heapq.heappush(self._free, slot)
 
     # ---- incremental updates -------------------------------------------
-
-    def _free_slots_available(self) -> int:
-        return len(self._free) + (self._capacity - self._width)
 
     def apply_arc_delta(self, u: NodeId, v: NodeId, x: Money) -> None:
         """Record that ``u`` must pay ``x`` to ``v`` and repair the sums.
@@ -209,7 +206,7 @@ class SubsetSumEngine:
         if new_pos > MONEY_MAX:
             raise MoneyOverflowError("balances would exceed the signed 64-bit range")
         need = (du == 0) + (dv == 0)
-        if need > self._free_slots_available():
+        if need > self._capacity - self.vstar_size:
             raise CapacityError(
                 f"all {self._capacity} slots in use; cannot track another nonzero balance"
             )
@@ -270,7 +267,6 @@ class SubsetSumEngine:
         self._width = k
         self._node_of_slot = [u for u, _ in nonzero]
         self._slot_of_node = {u: i for i, (u, _) in enumerate(nonzero)}
-        self._free = []
         self._live_mask = (1 << k) - 1
         self._debts = dict(nonzero)
         self._pos_total = pos_total

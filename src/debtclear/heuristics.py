@@ -101,19 +101,18 @@ def clear_non_atomic(s0: ZeroSetList) -> ZeroSetList:
     """Drop every set that strictly contains another member of the list.
 
     The survivors are exactly the inclusion-minimal ("atomic") members.
-    Candidates are visited in ascending cardinality so each one only has
-    to be tested against already-accepted atoms.
+    Candidates are visited in list order: a strict subset always has a
+    smaller mask, so each one only has to be tested against
+    already-accepted atoms.
     """
     n = len(s0)
     if n == 0:
         return s0
     masks = s0.masks
-    order = np.argsort(s0.sizes, kind="stable")
     keep = np.ones(n, dtype=bool)
     atoms = np.empty(n, dtype=MASK_DTYPE)
     count = 0
-    for idx in order:
-        m = masks[idx]
+    for idx, m in enumerate(masks):
         if count and bool(np.any((atoms[:count] & m) == atoms[:count])):
             keep[idx] = False
         else:

@@ -5,10 +5,20 @@ splitting the nonzero-balance nodes into as many disjoint zero-sum
 groups as possible: a group of size s settles internally with s - 1
 payments, so every extra group saves one payment.
 
-The search is a dynamic program over slot masks.  ``dp[S]`` is the best
-part count for mask ``S``, defined only where ``S`` is a disjoint union
-of candidate sets; each defined mask records one maximizing candidate
-for plan reconstruction.
+The search is one dynamic program over slot masks, and both entry
+points take the same two zero-set lists:
+
+* ``universe`` lists every zero-sum subset of ``live`` (members outside
+  ``live`` are ignored); the table has one row per such set plus the
+  empty mask, and
+* ``s0`` is any sublist of ``universe`` that contains every atom, i.e.
+  every inclusion-minimal zero-sum set; it supplies the candidate parts.
+
+``dp[t]`` is the most parts the zero set ``t`` splits into, and each row
+records the numerically smallest part that attains it.  Any zero set
+``z`` with ``dp[t \\ z] = dp[t] - 1`` is itself an atom (a zero set
+strictly inside ``z`` would split off one more part), so the atoms alone
+and the full list give the same dp and the same choice.
 """
 
 from __future__ import annotations
@@ -32,43 +42,19 @@ class PartitionResult:
     part_count: int
 
 
-def _closure(live: int, candidates: Sequence[int]) -> np.ndarray:
-    """All masks formed as disjoint unions of candidate sets, plus 0."""
-    reach = {0}
-    frontier = [0]
-    cand = [int(m) for m in candidates]
-    while frontier:
-        nxt = []
-        for base in frontier:
-            for m in cand:
-                if m & base == 0:
-                    t = base | m
-                    if t not in reach:
-                        reach.add(t)
-                        nxt.append(t)
-        frontier = nxt
-    return np.array(sorted(reach), dtype=MASK_DTYPE)
-
-
 def _solve_dp(
-    live: int, s0: ZeroSetList, universe: ZeroSetList | None
+    live: int, s0: ZeroSetList, universe: ZeroSetList
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Build the dp/choice tables over an ascending array of masks.
+    """Build the dp/choice tables over 0 and the zero sets inside ``live``.
 
-    ``universe``, when given, must list every zero-sum subset of ``live``
-    (a superset of all masks reachable from ``s0``); it lets the table be
-    evaluated vectorized per mask.  Without it the reachable masks are
-    enumerated first, which is fine at small sizes.
+    Rows are the ascending masks of ``universe`` contained in ``live``;
+    row t draws its candidate parts from the members of ``s0`` inside t.
     """
     s0m = s0.masks
     if bool(np.any((s0m & MASK_DTYPE(live)) != s0m)):
         raise ContractError("zero-set candidates must be subsets of the live mask")
-    if universe is not None:
-        um = universe.masks
-        um = um[(um & MASK_DTYPE(live)) == um]
-        masks = np.concatenate([np.zeros(1, dtype=MASK_DTYPE), um])
-    else:
-        masks = _closure(live, s0m)
+    um = universe.masks
+    masks = np.concatenate([np.zeros(1, dtype=MASK_DTYPE), um[(um & MASK_DTYPE(live)) == um]])
     dp = np.full(len(masks), -1, dtype=np.int64)
     dp[0] = 0
     choice = np.zeros(len(masks), dtype=MASK_DTYPE)
@@ -95,15 +81,15 @@ def _find(masks: np.ndarray, mask: int) -> int:
     return i
 
 
-def max_partition(
-    live: int, s0: ZeroSetList, universe: ZeroSetList | None = None
-) -> PartitionResult:
+def max_partition(live: int, s0: ZeroSetList, universe: ZeroSetList) -> PartitionResult:
     """Partition ``live`` into the maximum number of zero-sum parts.
 
-    ``s0`` supplies the candidate parts; ties between equally good
-    candidates are broken toward the numerically smallest mask, so the
-    reconstructed parts are deterministic.  Raises ``ContractError`` when
-    ``live`` cannot be covered (nonzero total, or candidates withheld).
+    ``universe`` lists every zero-sum subset of ``live`` and ``s0`` is a
+    sublist of it holding every atom (see the module docstring).  Ties
+    between equally good parts are broken toward the numerically
+    smallest mask, so the reconstructed parts are deterministic.  Raises
+    ``ContractError`` when ``live`` cannot be covered (nonzero total, or
+    a zero set or atom withheld).
     """
     if live == 0:
         return PartitionResult([], 0)
@@ -121,17 +107,15 @@ def max_partition(
     return PartitionResult(parts, len(parts))
 
 
-def min_removal_set(
-    live: int, s0: ZeroSetList, u_slot: int, universe: ZeroSetList | None = None
-) -> int:
+def min_removal_set(live: int, s0: ZeroSetList, u_slot: int, universe: ZeroSetList) -> int:
     """Smallest zero-sum group containing slot ``u_slot`` that an optimal
     partition can afford to settle now.
 
     Returns the mask P with ``dp[live] = dp[live \\ P] + 1`` of minimum
-    cardinality (ties to the numerically smallest mask).  ``s0`` must not
-    have been through pair extraction: committing pairs first can make
-    the best removal group for ``u`` unreachable.  Non-atomic pruning is
-    safe because a minimal such group is always atomic.
+    cardinality (ties to the numerically smallest mask).  ``universe``
+    and ``s0`` follow the module contract over the whole of ``live``, so
+    neither may have been through pair extraction: committing pairs
+    first can make the best removal group for ``u`` unreachable.
     """
     ubit = 1 << u_slot
     if not live & ubit:

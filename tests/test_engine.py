@@ -50,6 +50,16 @@ def test_freed_slot_is_reused():
     assert eng.slot_of(4) == 2
     assert eng.enter_vstar(9) == 1
 
+    eng = SubsetSumEngine()
+    eng.rebuild_from_debts({1: 3, 2: 5, 3: -3, 4: -5})  # nodes 1..4 -> slots 0..3
+    eng.apply_arc_delta(4, 1, 5)  # node 4 cancels: slot 3 falls vacant
+    eng.apply_arc_delta(3, 2, 5)  # node 2 cancels: slot 1 falls vacant
+    assert eng.live_mask == 0b0101
+    eng.apply_arc_delta(5, 1, 4)
+    eng.apply_arc_delta(6, 1, 1)
+    assert (eng.slot_of(5), eng.slot_of(6)) == (1, 3)  # lowest vacancy first
+    assert audit_sums(eng)
+
 
 def test_capacity_boundary():
     eng = SubsetSumEngine(capacity=3)

@@ -111,11 +111,17 @@ def test_heuristics_never_add_sets():
 
 
 def part_count_variants(engine):
-    """Max part count with (a) no reductions, (b) atoms, (c) pairs + atoms."""
+    """Max part count with (a) no reductions, (b) atoms, (c) pairs + atoms.
+
+    Also asserts that (a) and (b) reconstruct the very same parts.
+    """
     s0 = engine.zero_sets()
     live = engine.live_mask
-    a = max_partition(live, s0, universe=s0).part_count
-    b = max_partition(live, clear_non_atomic(s0), universe=s0).part_count
+    plain = max_partition(live, s0, s0)
+    atomic = max_partition(live, clear_non_atomic(s0), s0)
+    assert plain.parts == atomic.parts
+    a = plain.part_count
+    b = atomic.part_count
     ext = clear_pairs(s0)
     atoms = clear_non_atomic(ext.reduced)
     c = (

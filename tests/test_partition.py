@@ -23,48 +23,40 @@ def zsl(*masks):
 
 
 def test_max_partition_worked_example():
-    res = max_partition(0b1111, zsl(0b0110, 0b1001, 0b1111))
+    s0 = zsl(0b0110, 0b1001, 0b1111)
+    res = max_partition(0b1111, s0, s0)
     assert res.part_count == 2
     assert res.parts == [0b0110, 0b1001]
 
 
 def test_max_partition_single_triple():
-    res = max_partition(0b111, zsl(0b111))
+    s0 = zsl(0b111)
+    res = max_partition(0b111, s0, s0)
     assert res.part_count == 1
     assert res.parts == [0b111]
 
 
 def test_max_partition_empty():
-    res = max_partition(0, zsl())
+    res = max_partition(0, zsl(), zsl())
     assert res.part_count == 0 and res.parts == []
 
 
 def test_max_partition_unpartitionable_is_contract_error():
     with pytest.raises(ContractError):
-        max_partition(0b1, zsl())
+        max_partition(0b1, zsl(), zsl())
 
 
 def test_max_partition_candidates_must_fit_live():
+    s0 = zsl(0b111)
     with pytest.raises(ContractError):
-        max_partition(0b11, zsl(0b111))
+        max_partition(0b11, s0, s0)
 
 
 def test_max_partition_tie_breaks_to_smallest_mask():
     # two symmetric pairings of four slots; the smaller pair mask wins
-    res = max_partition(0b1111, zsl(0b0011, 0b0110, 0b1001, 0b1100, 0b1111))
+    s0 = zsl(0b0011, 0b0110, 0b1001, 0b1100, 0b1111)
+    res = max_partition(0b1111, s0, s0)
     assert res.parts == [0b0011, 0b1100]
-
-
-def test_max_partition_universe_matches_closure():
-    for seed in range(25):
-        n, arcs = random_instance(seed, max_n=9, max_m=18, max_w=5)
-        eng = SubsetSumEngine()
-        eng.rebuild_from_debts(balances_of(arcs))
-        s0 = eng.zero_sets()
-        with_universe = max_partition(eng.live_mask, s0, universe=s0)
-        without = max_partition(eng.live_mask, s0)
-        assert with_universe.part_count == without.part_count
-        assert with_universe.parts == without.parts
 
 
 def test_partition_covers_live_with_disjoint_zero_parts():
@@ -72,7 +64,8 @@ def test_partition_covers_live_with_disjoint_zero_parts():
         n, arcs = random_instance(seed, max_n=9, max_m=18, max_w=5)
         eng = SubsetSumEngine()
         eng.rebuild_from_debts(balances_of(arcs))
-        res = max_partition(eng.live_mask, eng.zero_sets())
+        s0 = eng.zero_sets()
+        res = max_partition(eng.live_mask, s0, s0)
         union = 0
         for p in res.parts:
             assert union & p == 0
@@ -93,21 +86,24 @@ def remove_fixture():
 def test_min_removal_worked_example():
     eng = remove_fixture()
     # node 4 sits in slot 3; the only small zero-sum group covering it is {4,5}
-    p = min_removal_set(eng.live_mask, eng.zero_sets(), 3)
+    s0 = eng.zero_sets()
+    p = min_removal_set(eng.live_mask, s0, 3, s0)
     assert p == 0b11000
 
 
 def test_min_removal_pair_remainder():
     eng = SubsetSumEngine()
     eng.rebuild_from_debts({1: 10, 5: -10})
-    p = min_removal_set(eng.live_mask, eng.zero_sets(), 0)
+    s0 = eng.zero_sets()
+    p = min_removal_set(eng.live_mask, s0, 0, s0)
     assert p == 0b11
 
 
 def test_min_removal_requires_live_slot():
     eng = remove_fixture()
+    s0 = eng.zero_sets()
     with pytest.raises(ContractError):
-        min_removal_set(eng.live_mask, eng.zero_sets(), 7)
+        min_removal_set(eng.live_mask, s0, 7, s0)
 
 
 def test_min_removal_satisfies_dp_identity():
@@ -119,16 +115,16 @@ def test_min_removal_satisfies_dp_identity():
         if live == 0:
             continue
         s0 = eng.zero_sets()
-        full = max_partition(live, s0).part_count
+        full = max_partition(live, s0, s0).part_count
         for slot in range(live.bit_length()):
             if not live >> slot & 1:
                 continue
-            p = min_removal_set(live, s0, slot)
+            p = min_removal_set(live, s0, slot, s0)
             assert p & (1 << slot)
             assert eng.subset_sum(p) == 0
             rest = live ^ p
             rest_s0 = ZeroSetList([m for m in s0 if m & p == 0])
-            rest_count = max_partition(rest, rest_s0).part_count if rest else 0
+            rest_count = max_partition(rest, rest_s0, rest_s0).part_count if rest else 0
             assert full == rest_count + 1
 
 
@@ -136,7 +132,8 @@ def test_min_removal_prefers_smallest_cardinality():
     # slot 0 can leave inside a pair or inside the whole triple-joined mask
     eng = SubsetSumEngine()
     eng.rebuild_from_debts({1: 1, 2: -1, 3: 1, 4: -1})
-    p = min_removal_set(eng.live_mask, eng.zero_sets(), 0)
+    s0 = eng.zero_sets()
+    p = min_removal_set(eng.live_mask, s0, 0, s0)
     assert p == 0b0011  # pair beats any 4-element cover
 
 
@@ -173,7 +170,8 @@ def test_settlement_zeroes_every_member_and_counts():
         n, arcs = random_instance(seed, max_n=9, max_m=18, max_w=5)
         eng = SubsetSumEngine()
         eng.rebuild_from_debts(balances_of(arcs))
-        res = max_partition(eng.live_mask, eng.zero_sets())
+        s0 = eng.zero_sets()
+        res = max_partition(eng.live_mask, s0, s0)
         slots = eng.node_slots()
         debts = eng.balances()
         total = 0
