@@ -1,12 +1,15 @@
 """Incremental subset-sum engine over the nonzero-balance node set.
 
-The engine tracks the set of nodes whose net balance is nonzero (each one
-pinned to a slot index) and a dense array holding, for every subset of
-live slots, the sum of member balances.  Every pass over that array goes
-through one view: reshaped to one length-2 axis per slot, the table is
-indexed with 1 or 0 on the slots a pass fixes, 0 on every vacant slot,
-and a full slice on the remaining live slots, which covers exactly the
-live submasks of the chosen shape.  Arc insertions patch such views in
+The engine rests on one invariant: a node holds a slot index, and with
+it a share of the sums table, exactly while its net balance is nonzero.
+``SubsetSumEngine._set_balance`` is the one place that changes a balance
+outside a batch rebuild, and so the one place that keeps the invariant.
+Next to the slots the engine keeps a dense array holding, for every
+subset of live slots, the sum of member balances.  Every pass over that
+array goes through one view: reshaped to one length-2 axis per slot, the
+table is indexed with 1 or 0 on the slots a pass fixes, 0 on every vacant
+slot, and a full slice on the remaining live slots, which covers exactly
+the live submasks of the chosen shape.  Arc insertions patch such views in
 place instead of rebuilding the array:
 
 * adding x to one endpoint adds x to the view "this endpoint set, the
@@ -38,34 +41,51 @@ from .errors import (
     StaleMaskError,
 )
 from .heuristics import ZeroSetList
-from .model import MONEY_MAX, Money, NodeId
+from .model import MONEY_MAX, MONEY_MIN, Money, NodeId
 
 DEFAULT_CAPACITY = 24
 MAX_CAPACITY = 63
 
 
+def _check_range(balances: Iterable[Money]) -> None:
+    """Refuse balances whose positive or negative total leaves the int64 range.
+
+    Every subset sum lies between the two totals, so this bounds the
+    whole table.
+    """
+    pos = neg = 0
+    for d in balances:
+        if d > 0:
+            pos += d
+        else:
+            neg += d
+    if pos > MONEY_MAX or neg < MONEY_MIN:
+        raise MoneyOverflowError("balances would exceed the signed 64-bit range")
+
+
 class SubsetSumEngine:
     """Net balances plus subset sums over the nonzero-balance nodes.
 
+    A node is live, holding a slot, exactly while its balance is nonzero;
+    ``_set_balance`` alone enters and leaves slots between batch rebuilds.
     ``capacity`` bounds how many slots may ever be allocated.  The sums
-    table holds ``2^width`` int64 entries, where width is the peak number
-    of nonzero balances held at once since the last batch rebuild (128
-    MiB if all 24 default slots were ever occupied together); it grows by
-    doubling as slots are first used and never shrinks as balances
-    settle.  Each pass over it touches only the live submasks.
+    table holds ``2^width`` int64 entries, where width, the length of the
+    slot list, is the peak number of nonzero balances held at once since
+    the last batch rebuild (128 MiB if all 24 default slots were ever
+    occupied together); it grows by doubling as slots are first used and
+    never shrinks as balances settle.  Each pass over it touches only the
+    live submasks.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if not 1 <= capacity <= MAX_CAPACITY:
             raise CapacityError(f"capacity must be in 1..{MAX_CAPACITY}, got {capacity}")
         self._capacity = capacity
-        self._width = 0
         self._sums = np.zeros(1, dtype=MASK_DTYPE)
         self._node_of_slot: list[NodeId | None] = []
         self._slot_of_node: dict[NodeId, int] = {}
         self._live_mask = 0
         self._debts: dict[NodeId, Money] = {}
-        self._pos_total = 0
         self._touched_last = 0
 
     # ---- read access -------------------------------------------------
@@ -132,53 +152,53 @@ class SubsetSumEngine:
         Axes of the view are the remaining live slots, highest first, so
         its C-order flattening lists the masks in ascending order.
         """
-        idx = [slice(None) if self._live_mask >> s & 1 else 0 for s in range(self._width)]
+        width = len(self._node_of_slot)
+        idx = [slice(None) if self._live_mask >> s & 1 else 0 for s in range(width)]
         for s in zeros:
             idx[s] = 0
         for s in ones:
             idx[s] = 1
-        return self._sums.reshape((2,) * self._width)[tuple(reversed(idx)) + (...,)]
+        return self._sums.reshape((2,) * width)[tuple(reversed(idx)) + (...,)]
 
     # ---- slot management ----------------------------------------------
 
-    def enter_vstar(self, u: NodeId) -> int:
-        """Assign a slot to ``u``, which is about to gain a nonzero balance.
+    def _set_balance(self, u: NodeId, d: Money) -> None:
+        """Give ``u`` the balance ``d``, entering or leaving a slot to match.
 
-        Vacant slots below the width are preferred (lowest index first).
-        Sums entries for masks containing the slot are stale until the
-        caller runs the recomputation branch of the update.
+        A node gaining a nonzero balance takes the lowest vacant slot, or
+        widens the table by one slot when none is vacant (the new half is
+        left uninitialised); sums entries for masks containing that slot
+        are stale until the caller recomputes them.  A node whose balance
+        returns to zero frees its slot.  Callers check capacity first.
         """
-        if u in self._slot_of_node:
-            raise ContractError(f"node {u} already holds a slot")
-        vacant = ~self._live_mask & ((1 << self._width) - 1)
-        if vacant:
-            slot = (vacant & -vacant).bit_length() - 1
-        elif self._width < self._capacity:
-            slot = self._width
-            self._width += 1
-            self._node_of_slot.append(None)
-            self._sums = np.concatenate([self._sums, np.zeros_like(self._sums)])
-        else:
-            raise CapacityError(
-                f"all {self._capacity} slots in use; cannot track another nonzero balance"
-            )
-        self._node_of_slot[slot] = u
-        self._slot_of_node[u] = slot
-        self._live_mask |= 1 << slot
-        return slot
-
-    def _leave_vstar(self, u: NodeId) -> None:
-        slot = self._slot_of_node.pop(u)
-        self._node_of_slot[slot] = None
-        self._live_mask &= ~(1 << slot)
+        if d == 0:
+            del self._debts[u]
+            slot = self._slot_of_node.pop(u)
+            self._node_of_slot[slot] = None
+            self._live_mask &= ~(1 << slot)
+            return
+        if u not in self._slot_of_node:
+            # lowest clear bit of the live mask: a vacant slot, else the width
+            slot = (~self._live_mask & (self._live_mask + 1)).bit_length() - 1
+            if slot == len(self._node_of_slot):
+                self._node_of_slot.append(None)
+                sums = np.empty(2 * len(self._sums), dtype=MASK_DTYPE)
+                sums[: len(self._sums)] = self._sums
+                self._sums = sums
+            self._node_of_slot[slot] = u
+            self._slot_of_node[u] = slot
+            self._live_mask |= 1 << slot
+        self._debts[u] = d
 
     # ---- incremental updates -------------------------------------------
 
     def apply_arc_delta(self, u: NodeId, v: NodeId, x: Money) -> None:
         """Record that ``u`` must pay ``x`` to ``v`` and repair the sums.
 
-        Adjusts both balances and moves the endpoints in or out of the
-        live slot set.  Each endpoint still live then has ``x`` (or
+        Both signs of the int64 range and the slot capacity are checked on
+        the prospective balances before anything changes, so a rejected
+        arc leaves the engine as it was.  The endpoints then move in or
+        out of the live slot set.  Each endpoint still live has ``x`` (or
         ``-x``) added to its view "this endpoint set, the other clear";
         an endpoint that just gained its slot has that view recomputed
         from "both clear" instead, and then "both set" is recomputed from
@@ -196,34 +216,21 @@ class SubsetSumEngine:
         dv = self._debts.get(v, 0)
         new_u = du + x
         new_v = dv - x
-        new_pos = (
-            self._pos_total
-            - max(du, 0)
-            - max(dv, 0)
-            + max(new_u, 0)
-            + max(new_v, 0)
-        )
-        if new_pos > MONEY_MAX:
-            raise MoneyOverflowError("balances would exceed the signed 64-bit range")
+        _check_range({**self._debts, u: new_u, v: new_v}.values())
         need = (du == 0) + (dv == 0)
         if need > self._capacity - self.vstar_size:
             raise CapacityError(
                 f"all {self._capacity} slots in use; cannot track another nonzero balance"
             )
 
-        if du == 0:
-            self.enter_vstar(u)
-        if dv == 0:
-            self.enter_vstar(v)
-        self._debts[u] = new_u
-        self._debts[v] = new_v
-        self._pos_total = new_pos
-        if new_u == 0:
-            del self._debts[u]
-            self._leave_vstar(u)
-        if new_v == 0:
-            del self._debts[v]
-            self._leave_vstar(v)
+        # entries before departures: a fresh endpoint never takes the slot
+        # its partner is vacating
+        if new_u:
+            self._set_balance(u, new_u)
+            self._set_balance(v, new_v)
+        else:
+            self._set_balance(v, new_v)
+            self._set_balance(u, new_u)
 
         ends = [s for s in (self._slot_of_node.get(u), self._slot_of_node.get(v)) if s is not None]
         base = self._region(zeros=ends)
@@ -250,9 +257,11 @@ class SubsetSumEngine:
     def rebuild_from_debts(self, debts: Mapping[NodeId, Money]) -> None:
         """Reset the engine to the given balances in one batch pass.
 
-        Slots are assigned to nonzero-balance nodes in ascending node
-        order, and the table is filled by doubling: the sums with slot j
-        set are the sums below ``2^j`` plus slot j's balance.
+        The slot capacity and both signs of the int64 range are checked
+        before anything changes.  Slots are assigned to nonzero-balance
+        nodes in ascending node order, and the table is filled by
+        doubling: the sums with slot j set are the sums below ``2^j`` plus
+        slot j's balance.
         """
         nonzero = sorted((u, d) for u, d in debts.items() if d != 0)
         k = len(nonzero)
@@ -260,16 +269,12 @@ class SubsetSumEngine:
             raise CapacityError(
                 f"{k} nonzero balances exceed the configured {self._capacity} slots"
             )
-        pos_total = sum(d for _, d in nonzero if d > 0)
-        if pos_total > MONEY_MAX:
-            raise MoneyOverflowError("balances exceed the signed 64-bit range")
+        _check_range(d for _, d in nonzero)
 
-        self._width = k
         self._node_of_slot = [u for u, _ in nonzero]
         self._slot_of_node = {u: i for i, (u, _) in enumerate(nonzero)}
         self._live_mask = (1 << k) - 1
         self._debts = dict(nonzero)
-        self._pos_total = pos_total
         self._touched_last = 0
 
         sums = np.empty(1 << k, dtype=MASK_DTYPE)
@@ -289,9 +294,4 @@ class SubsetSumEngine:
         if mask & ~self._live_mask:
             raise ContractError(f"mask {mask:#x} is not contained in the live mask")
         for slot in bit_positions(mask):
-            node = self._node_of_slot[slot]
-            d = self._debts.pop(node)
-            if d > 0:
-                self._pos_total -= d
-            self._leave_vstar(node)
-
+            self._set_balance(self._node_of_slot[slot], 0)

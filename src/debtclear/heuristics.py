@@ -26,13 +26,9 @@ from .errors import ContractError
 
 
 class ZeroSetList:
-    """Zero-sum subset masks in ascending numeric order, without duplicates.
+    """Zero-sum subset masks in ascending numeric order, without duplicates."""
 
-    Cardinalities are cached alongside the masks because both reductions
-    branch on them.
-    """
-
-    __slots__ = ("masks", "sizes")
+    __slots__ = ("masks",)
 
     def __init__(self, masks: Iterable[int] | np.ndarray = (), *, _trusted: bool = False):
         arr = np.asarray(masks, dtype=MASK_DTYPE)
@@ -43,7 +39,6 @@ class ZeroSetList:
         if len(arr) and arr[0] <= 0:
             raise ContractError("zero-set masks must be positive integers")
         self.masks = arr
-        self.sizes = popcount_array(arr)
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -87,7 +82,7 @@ def clear_pairs(s0: ZeroSetList) -> PairExtraction:
     """
     in_pair = 0
     fixed: list[int] = []
-    for m in s0.masks[s0.sizes == 2]:
+    for m in s0.masks[popcount_array(s0.masks) == 2]:
         m = int(m)
         if m & in_pair == 0:
             fixed.append(m)

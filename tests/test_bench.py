@@ -54,8 +54,7 @@ def test_splitmix64_randint_range():
 def test_case_spec_pins_table_row():
     spec = case_spec(5)
     assert (spec.n, spec.m, spec.expected_amin) == (20, 15, 15)
-    with pytest.raises(BenchError):
-        CaseSpec(test_id=5, n=20, m=16, seed=1, expected_amin=15)
+    assert CaseSpec(5) == spec
     with pytest.raises(BenchError):
         case_spec(16)
 

@@ -1,16 +1,24 @@
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-DEMO_DIR = pathlib.Path(__file__).resolve().parent.parent / "demos"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMO_DIR = ROOT / "demos"
 
 
 @pytest.mark.parametrize("script", sorted(DEMO_DIR.glob("*.py")), ids=lambda p: p.name)
 def test_demo_runs_clean(script):
+    # run against this checkout's sources, installed or not
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, timeout=120
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from debtclear import (
     AmountError,
     CapacityError,
-    ContractError,
     LoopError,
     MoneyOverflowError,
     SplitMix64,
@@ -37,8 +36,9 @@ def replay(arcs, capacity=24):
 
 def test_first_allocation_takes_slot_zero():
     eng = SubsetSumEngine()
-    assert eng.enter_vstar(7) == 0
-    assert eng.live_mask == 0b1
+    eng.apply_arc_delta(7, 8, 1)
+    assert eng.slot_of(7) == 0
+    assert eng.live_mask == 0b11
 
 
 def test_freed_slot_is_reused():
@@ -48,7 +48,8 @@ def test_freed_slot_is_reused():
     eng.apply_arc_delta(2, 4, 5)
     assert eng.slot_of(2) is None
     assert eng.slot_of(4) == 2
-    assert eng.enter_vstar(9) == 1
+    eng.apply_arc_delta(9, 4, 1)
+    assert eng.slot_of(9) == 1
 
     eng = SubsetSumEngine()
     eng.rebuild_from_debts({1: 3, 2: 5, 3: -3, 4: -5})  # nodes 1..4 -> slots 0..3
@@ -63,10 +64,11 @@ def test_freed_slot_is_reused():
 
 def test_capacity_boundary():
     eng = SubsetSumEngine(capacity=3)
-    for node in (10, 11, 12):
-        eng.enter_vstar(node)
+    eng.apply_arc_delta(10, 11, 2)
+    eng.apply_arc_delta(11, 12, 1)
+    assert eng.vstar_size == 3
     with pytest.raises(CapacityError):
-        eng.enter_vstar(13)
+        eng.apply_arc_delta(13, 10, 1)
 
 
 def test_capacity_constructor_bounds():
@@ -82,13 +84,6 @@ def test_wide_capacity_engine_still_exact():
     for u in range(5):
         eng.apply_arc_delta(u, u + 5, 3 + u)
     assert audit_sums(eng)
-
-
-def test_enter_twice_rejected():
-    eng = SubsetSumEngine()
-    eng.enter_vstar(3)
-    with pytest.raises(ContractError):
-        eng.enter_vstar(3)
 
 
 def test_capacity_error_leaves_state_unchanged():
@@ -148,6 +143,15 @@ def test_apply_overflow_guard():
     before = engine_digest(eng)
     with pytest.raises(MoneyOverflowError):
         eng.apply_arc_delta(5, 6, 2**62)
+    assert engine_digest(eng) == before
+
+
+def test_rebuild_overflow_guard():
+    eng = SubsetSumEngine()
+    eng.apply_arc_delta(1, 2, 5)
+    before = engine_digest(eng)
+    with pytest.raises(MoneyOverflowError):
+        eng.rebuild_from_debts({0: -(2**62), 1: -(2**62), 2: -1})
     assert engine_digest(eng) == before
 
 
