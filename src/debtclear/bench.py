@@ -246,7 +246,7 @@ def format_plan(plan: TransactionPlan) -> str:
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
-def run_script(text: str, capacity: int | None = None) -> str:
+def run_script(text: str) -> str:
     """Execute an operation script against a fresh ledger.
 
     Commands (one per line, ``#`` starts a comment):
@@ -261,7 +261,7 @@ def run_script(text: str, capacity: int | None = None) -> str:
     ordered by the nodes' declaration order.  The first failing command
     raises ``ScriptError`` with its 1-based command index.
     """
-    ledger = Ledger() if capacity is None else Ledger(capacity)
+    ledger = Ledger()
     name_of: dict[NodeId, str] = {}
     id_of: dict[str, NodeId] = {}
     out = io.StringIO()

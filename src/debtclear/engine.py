@@ -1,28 +1,22 @@
 """Incremental subset-sum engine over the nonzero-balance node set.
 
-The engine rests on one invariant: a node holds a slot index, and with
-it a share of the sums table, exactly while its net balance is nonzero.
-``SubsetSumEngine._set_balance`` is the one place that changes a balance
-outside a batch rebuild, and so the one place that keeps the invariant.
-Next to the slots the engine keeps a dense array holding, for every
-subset of live slots, the sum of member balances.  Every pass over that
-array goes through one view: reshaped to one length-2 axis per slot, the
-table is indexed with 1 or 0 on the slots a pass fixes, 0 on every vacant
-slot, and a full slice on the remaining live slots, which covers exactly
-the live submasks of the chosen shape.  Arc insertions patch such views in
-place instead of rebuilding the array:
+The engine rests on one invariant: the k nodes whose net balance is
+nonzero hold slots 0..k-1, so every subset of them is a mask below
+``2^k``.  ``SubsetSumEngine._set_balance`` is the one place that changes
+a balance outside a batch rebuild, and so the one place that keeps the
+invariant: a node entering takes slot k, and a node leaving hands its
+slot to the node in the top slot.  Next to the slots the engine keeps a
+dense array whose prefix of ``2^k`` entries holds, for every subset of
+live slots, the sum of member balances.  Every pass over that prefix goes
+through one view: reshaped to one length-2 axis per slot, it is indexed
+with 1 or 0 on the slots a pass fixes and a full slice on the others.
+Arc insertions patch such views in place instead of rebuilding the array:
 
 * adding x to one endpoint adds x to the view "this endpoint set, the
   other clear" (or recomputes it from "both clear" when the endpoint
   just gained a slot), and
 * when either endpoint is fresh, the view "both set" is recomputed from
   "both clear".
-
-When a node's balance returns to zero its slot is recycled and the array
-entries mentioning that slot are deliberately left stale; views fix
-vacant slots to 0, so those entries are never read, and a later occupant
-recomputes them on entry.  Only masks contained in the live mask are
-ever meaningful.
 """
 
 from __future__ import annotations
@@ -33,7 +27,6 @@ import numpy as np
 
 from .bits import MASK_DTYPE, bit_positions
 from .errors import (
-    AmountError,
     CapacityError,
     ContractError,
     LoopError,
@@ -41,7 +34,7 @@ from .errors import (
     StaleMaskError,
 )
 from .heuristics import ZeroSetList
-from .model import MONEY_MAX, MONEY_MIN, Money, NodeId
+from .model import MONEY_MAX, MONEY_MIN, Money, NodeId, _check_amount
 
 DEFAULT_CAPACITY = 24
 MAX_CAPACITY = 63
@@ -66,15 +59,14 @@ def _check_range(balances: Iterable[Money]) -> None:
 class SubsetSumEngine:
     """Net balances plus subset sums over the nonzero-balance nodes.
 
-    A node is live, holding a slot, exactly while its balance is nonzero;
-    ``_set_balance`` alone enters and leaves slots between batch rebuilds.
-    ``capacity`` bounds how many slots may ever be allocated.  The sums
-    table holds ``2^width`` int64 entries, where width, the length of the
-    slot list, is the peak number of nonzero balances held at once since
-    the last batch rebuild (128 MiB if all 24 default slots were ever
-    occupied together); it grows by doubling as slots are first used and
-    never shrinks as balances settle.  Each pass over it touches only the
-    live submasks.
+    The k nodes with a nonzero balance hold slots 0..k-1;
+    ``_set_balance`` alone enters and leaves slots between batch
+    rebuilds.  ``capacity`` bounds how many slots may ever be held at
+    once.  The live sums are the first ``2^k`` int64 entries of an
+    allocation that grows by doubling when a node enters a full one and
+    never shrinks as balances settle, so it holds ``2^w`` entries, w
+    being the peak k since the last batch rebuild (128 MiB if all 24
+    default slots were ever held together).
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
@@ -82,9 +74,8 @@ class SubsetSumEngine:
             raise CapacityError(f"capacity must be in 1..{MAX_CAPACITY}, got {capacity}")
         self._capacity = capacity
         self._sums = np.zeros(1, dtype=MASK_DTYPE)
-        self._node_of_slot: list[NodeId | None] = []
+        self._node_of_slot: list[NodeId] = []
         self._slot_of_node: dict[NodeId, int] = {}
-        self._live_mask = 0
         self._debts: dict[NodeId, Money] = {}
         self._touched_last = 0
 
@@ -97,15 +88,15 @@ class SubsetSumEngine:
     @property
     def live_mask(self) -> int:
         """Mask of slots currently held by nonzero-balance nodes."""
-        return self._live_mask
+        return (1 << len(self._node_of_slot)) - 1
 
     @property
     def vstar_size(self) -> int:
-        return self._live_mask.bit_count()
+        return len(self._node_of_slot)
 
     @property
     def last_touched_sums(self) -> int:
-        """Sums entries written by the most recent mutating call."""
+        """Sums entries written or moved by the most recent mutating call."""
         return self._touched_last
 
     def debt(self, u: NodeId) -> Money:
@@ -118,99 +109,103 @@ class SubsetSumEngine:
     def slot_of(self, u: NodeId) -> int | None:
         return self._slot_of_node.get(u)
 
-    def node_slots(self) -> tuple[NodeId | None, ...]:
-        """Slot-indexed view of occupants (None for vacant slots)."""
+    def node_slots(self) -> tuple[NodeId, ...]:
+        """Slot-indexed view of the nonzero-balance nodes."""
         return tuple(self._node_of_slot)
 
     def subset_sum(self, mask: int) -> Money:
         """Sum of balances over the slots in ``mask``.
 
         Only masks contained in the live mask are defined; anything else
-        may alias a stale entry and is rejected.
+        may read an entry left over from a wider table and is rejected.
         """
-        if mask & ~self._live_mask:
+        if mask & ~self.live_mask:
             raise StaleMaskError(f"mask {mask:#x} is not contained in the live mask")
         return int(self._sums[mask])
 
     def zero_sets(self) -> ZeroSetList:
-        """All nonempty subsets of the live mask with zero balance sum."""
+        """All nonempty subsets of the live mask with zero balance sum.
+
+        They are the positions of the zero entries of the live table,
+        ascending, except position 0: the empty set.
+        """
         hits = np.flatnonzero(self._region() == 0)
-        hits = hits[hits != 0]
-        # bit i of a hit stands for the i-th live slot; while slots 0..n-1
-        # are all live, the low n bits are already in place
-        live = bit_positions(self._live_mask)
-        n = sum(slot == i for i, slot in enumerate(live))
-        masks = hits & ((1 << n) - 1)
-        for i in range(n, len(live)):
-            masks |= (hits & (1 << i)) << (live[i] - i)
-        return ZeroSetList(masks, _trusted=True)
+        return ZeroSetList(hits[hits != 0], _trusted=True)
 
     def _region(self, ones: Iterable[int] = (), zeros: Iterable[int] = ()) -> np.ndarray:
-        """Writable view of the sums over live submasks with ``ones`` set and ``zeros`` clear.
+        """Writable view of the live sums with ``ones`` set and ``zeros`` clear.
 
-        A slot named in both counts as set; vacant slots are always clear.
-        Axes of the view are the remaining live slots, highest first, so
-        its C-order flattening lists the masks in ascending order.
+        A slot named in both counts as set.  Axes of the view are the
+        remaining live slots, highest first, so its C-order flattening
+        lists the masks in ascending order.
         """
-        width = len(self._node_of_slot)
-        idx = [slice(None) if self._live_mask >> s & 1 else 0 for s in range(width)]
+        k = len(self._node_of_slot)
+        idx = [slice(None)] * k
         for s in zeros:
             idx[s] = 0
         for s in ones:
             idx[s] = 1
-        return self._sums.reshape((2,) * width)[tuple(reversed(idx)) + (...,)]
+        return self._sums[: 1 << k].reshape((2,) * k)[tuple(reversed(idx)) + (...,)]
 
     # ---- slot management ----------------------------------------------
 
-    def _set_balance(self, u: NodeId, d: Money) -> None:
+    def _set_balance(self, u: NodeId, d: Money) -> int:
         """Give ``u`` the balance ``d``, entering or leaving a slot to match.
 
-        A node gaining a nonzero balance takes the lowest vacant slot, or
-        widens the table by one slot when none is vacant (the new half is
-        left uninitialised); sums entries for masks containing that slot
-        are stale until the caller recomputes them.  A node whose balance
-        returns to zero frees its slot.  Callers check capacity first.
+        A node gaining a nonzero balance takes slot k, doubling the
+        allocation when it is full; sums entries for masks containing that
+        slot are stale until the caller recomputes them.  A node whose
+        balance returns to zero hands its slot s to the node in the top
+        slot t, whose sums move from "t set, s clear" to "s set, t clear",
+        and slot t is dropped.  Returns the number of entries moved.
+        Callers check capacity first.
         """
         if d == 0:
             del self._debts[u]
-            slot = self._slot_of_node.pop(u)
-            self._node_of_slot[slot] = None
-            self._live_mask &= ~(1 << slot)
-            return
+            s = self._slot_of_node.pop(u)
+            t = len(self._node_of_slot) - 1
+            moved = 0
+            if s != t:
+                src = self._region(ones=(t,), zeros=(s,))
+                self._region(ones=(s,), zeros=(t,))[...] = src
+                moved = src.size
+                top = self._node_of_slot[t]
+                self._node_of_slot[s] = top
+                self._slot_of_node[top] = s
+            self._node_of_slot.pop()
+            return moved
         if u not in self._slot_of_node:
-            # lowest clear bit of the live mask: a vacant slot, else the width
-            slot = (~self._live_mask & (self._live_mask + 1)).bit_length() - 1
-            if slot == len(self._node_of_slot):
-                self._node_of_slot.append(None)
+            k = len(self._node_of_slot)
+            if 2 << k > len(self._sums):
                 sums = np.empty(2 * len(self._sums), dtype=MASK_DTYPE)
                 sums[: len(self._sums)] = self._sums
                 self._sums = sums
-            self._node_of_slot[slot] = u
-            self._slot_of_node[u] = slot
-            self._live_mask |= 1 << slot
+            self._node_of_slot.append(u)
+            self._slot_of_node[u] = k
         self._debts[u] = d
+        return 0
 
     # ---- incremental updates -------------------------------------------
 
     def apply_arc_delta(self, u: NodeId, v: NodeId, x: Money) -> None:
         """Record that ``u`` must pay ``x`` to ``v`` and repair the sums.
 
-        Both signs of the int64 range and the slot capacity are checked on
-        the prospective balances before anything changes, so a rejected
-        arc leaves the engine as it was.  The endpoints then move in or
-        out of the live slot set.  Each endpoint still live has ``x`` (or
-        ``-x``) added to its view "this endpoint set, the other clear";
-        an endpoint that just gained its slot has that view recomputed
-        from "both clear" instead, and then "both set" is recomputed from
-        "both clear" too.  With k live slots each view holds ``2^(k - 2)``
-        entries, so at most ``3 * 2^(k - 2)`` are touched.
+        ``x`` must be a positive ``int``.  Both signs of the int64 range
+        and the slot capacity are checked on the prospective balances
+        before anything changes, so a rejected arc leaves the engine as it
+        was.  An endpoint whose balance returns to zero leaves its slot
+        first, which may move the top slot's sums down; only then does a
+        fresh endpoint enter at slot k.  Each endpoint still live has
+        ``x`` (or ``-x``) added to its view "this endpoint set, the other
+        clear"; an endpoint that just gained its slot has that view
+        recomputed from "both clear" instead, and then "both set" is
+        recomputed from "both clear" too.  With K the larger of k before
+        and after, each move or view holds at most ``2^(K - 2)`` entries,
+        and at most ``3 * 2^(K - 2)`` are touched.
         """
         if u == v:
             raise LoopError(f"arc from node {u} to itself")
-        if x <= 0:
-            raise AmountError(f"arc amount must be positive, got {x}")
-        if x > MONEY_MAX:
-            raise MoneyOverflowError(f"arc amount {x} outside signed 64-bit range")
+        _check_amount("arc", x)
 
         du = self._debts.get(u, 0)
         dv = self._debts.get(v, 0)
@@ -223,19 +218,17 @@ class SubsetSumEngine:
                 f"all {self._capacity} slots in use; cannot track another nonzero balance"
             )
 
-        # entries before departures: a fresh endpoint never takes the slot
-        # its partner is vacating
-        if new_u:
-            self._set_balance(u, new_u)
-            self._set_balance(v, new_v)
+        # departures before entries: an entering endpoint never widens the
+        # table past the final k, and no slot move copies its stale entries
+        if new_v:
+            moved = self._set_balance(u, new_u) + self._set_balance(v, new_v)
         else:
-            self._set_balance(v, new_v)
-            self._set_balance(u, new_u)
+            moved = self._set_balance(v, new_v) + self._set_balance(u, new_u)
 
         ends = [s for s in (self._slot_of_node.get(u), self._slot_of_node.get(v)) if s is not None]
         base = self._region(zeros=ends)
         fresh = False
-        self._touched_last = 0
+        self._touched_last = moved
         for node, delta in ((u, x), (v, -x)):
             slot = self._slot_of_node.get(node)
             if slot is None:
@@ -273,7 +266,6 @@ class SubsetSumEngine:
 
         self._node_of_slot = [u for u, _ in nonzero]
         self._slot_of_node = {u: i for i, (u, _) in enumerate(nonzero)}
-        self._live_mask = (1 << k) - 1
         self._debts = dict(nonzero)
         self._touched_last = 0
 
@@ -288,10 +280,16 @@ class SubsetSumEngine:
     def clear_block(self, mask: int) -> None:
         """Zero the balances of every slot in ``mask`` and free the slots.
 
-        Used after a zero-sum group has been settled; sums entries over
-        the remaining live mask are untouched and stay valid.
+        Used after a zero-sum group has been settled.  Slots are freed
+        highest first, so the slots of ``mask`` not yet freed keep their
+        numbers, and a slot whose higher neighbours were all in ``mask``
+        is the top when freed and moves nothing; any other freed slot
+        takes over the top slot's node and sums.  ``last_touched_sums``
+        counts the moved entries.
         """
-        if mask & ~self._live_mask:
+        if mask & ~self.live_mask:
             raise ContractError(f"mask {mask:#x} is not contained in the live mask")
-        for slot in bit_positions(mask):
+        self._touched_last = sum(
             self._set_balance(self._node_of_slot[slot], 0)
+            for slot in reversed(bit_positions(mask))
+        )

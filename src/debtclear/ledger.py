@@ -149,9 +149,7 @@ class Ledger:
 
 
 def solve_static_with_stats(
-    borrowings: Iterable[Borrowing],
-    n: int,
-    capacity: int = DEFAULT_CAPACITY,
+    borrowings: Iterable[Borrowing], n: int
 ) -> tuple[TransactionPlan, QueryStats]:
     """Batch pipeline: balances in one pass, sums by recurrence, then optimize."""
     borrowings = list(borrowings)
@@ -160,15 +158,11 @@ def solve_static_with_stats(
             raise UnknownNodeError(
                 f"borrowing {b.borrower}->{b.lender} references a node >= {n}"
             )
-    engine = SubsetSumEngine(capacity)
+    engine = SubsetSumEngine()
     engine.rebuild_from_debts(balances_of(borrowings))
     return _optimize(engine)
 
 
-def solve_static(
-    borrowings: Iterable[Borrowing],
-    n: int,
-    capacity: int = DEFAULT_CAPACITY,
-) -> TransactionPlan:
+def solve_static(borrowings: Iterable[Borrowing], n: int) -> TransactionPlan:
     """A smallest settlement plan for a one-shot list of borrowings."""
-    return solve_static_with_stats(borrowings, n, capacity)[0]
+    return solve_static_with_stats(borrowings, n)[0]

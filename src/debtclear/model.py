@@ -26,6 +26,14 @@ def _check_money(amount: int) -> None:
         raise MoneyOverflowError(f"amount {amount} outside signed 64-bit range")
 
 
+def _check_amount(what: str, amount) -> None:
+    """Refuse an amount that is not a positive ``int`` within the int64 range."""
+    if type(amount) is not int or amount <= 0:
+        raise AmountError(f"{what} amount must be a positive integer, got {amount!r}")
+    if amount > MONEY_MAX:
+        raise MoneyOverflowError(f"{what} amount {amount} outside signed 64-bit range")
+
+
 @dataclass(frozen=True, slots=True)
 class Borrowing:
     """One borrowing record: ``borrower`` must pay ``amount`` to ``lender``."""
@@ -39,9 +47,7 @@ class Borrowing:
             raise UnknownNodeError("node ids must be non-negative")
         if self.borrower == self.lender:
             raise LoopError(f"borrowing from node {self.borrower} to itself")
-        if self.amount <= 0:
-            raise AmountError(f"borrowing amount must be positive, got {self.amount}")
-        _check_money(self.amount)
+        _check_amount("borrowing", self.amount)
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,9 +63,7 @@ class Transaction:
             raise UnknownNodeError("node ids must be non-negative")
         if self.sender == self.receiver:
             raise LoopError(f"transaction from node {self.sender} to itself")
-        if self.amount <= 0:
-            raise AmountError(f"transaction amount must be positive, got {self.amount}")
-        _check_money(self.amount)
+        _check_amount("transaction", self.amount)
 
 
 class TransactionPlan:

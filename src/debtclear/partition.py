@@ -134,7 +134,7 @@ def min_removal_set(live: int, s0: ZeroSetList, u_slot: int, universe: ZeroSetLi
 
 def settle_part(
     part: int,
-    node_of_slot: Sequence[NodeId | None],
+    node_of_slot: Sequence[NodeId],
     debts: Mapping[NodeId, Money],
 ) -> list[Transaction]:
     """Clear one zero-sum group with greedy bilateral payments.
@@ -148,9 +148,9 @@ def settle_part(
         raise ContractError("cannot settle an empty part")
     members: list[tuple[NodeId, Money]] = []
     for slot in bit_positions(part):
-        node = node_of_slot[slot] if slot < len(node_of_slot) else None
-        if node is None:
-            raise ContractError(f"slot {slot} is vacant")
+        if slot >= len(node_of_slot):
+            raise ContractError(f"slot {slot} holds no node")
+        node = node_of_slot[slot]
         d = debts.get(node, 0)
         if d == 0:
             raise ContractError(f"node {node} has zero balance; not a settleable member")

@@ -152,6 +152,7 @@ def test_criterion_7_sums_ground_truth():
                 pool.append(led.insert_node())
             assert audit_sums(led.engine)
             assert led.engine.subset_sum(led.engine.live_mask) == 0
+            assert led.engine.live_mask == (1 << led.engine.vstar_size) - 1
         assert time.perf_counter() - t0 < 10.0
 
 

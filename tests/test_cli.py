@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import pytest
 
 from debtclear import parse_static
 from debtclear.cli import main
 
 EXAMPLE1_TEXT = "5 5\n1 2 10\n2 3 5\n3 1 5\n1 4 5\n4 5 10\n"
+SOLVE_GEN_GOLDEN = Path(__file__).parent / "golden" / "solve_gen.txt"
 
 
 @pytest.fixture
@@ -51,6 +54,17 @@ def test_gen_then_solve_pipeline(tmp_path, capsys):
     assert main(["gen", "2", "--out", str(case)]) == 0
     assert main(["solve", str(case)]) == 0
     assert capsys.readouterr().out == "0\n"
+
+
+def test_solve_generated_cases_golden(tmp_path, capsys):
+    """``solve`` prints the recorded plan for each of the 15 generated cases."""
+    got = []
+    for t in range(1, 16):
+        case = tmp_path / f"case{t}.txt"
+        assert main(["gen", str(t), "--out", str(case)]) == 0
+        assert main(["solve", str(case)]) == 0
+        got.append(f"# case {t}\n" + capsys.readouterr().out)
+    assert "".join(got) == SOLVE_GEN_GOLDEN.read_text()
 
 
 def test_oracle_command(example_file, capsys):

@@ -44,21 +44,26 @@ def test_first_allocation_takes_slot_zero():
 def test_freed_slot_is_reused():
     eng = SubsetSumEngine()
     eng.apply_arc_delta(1, 2, 5)  # node 1 -> slot 0, node 2 -> slot 1
-    # node 4 claims slot 2 before node 2's balance cancels to zero
+    # node 2 leaves the top slot before node 4 enters, so node 4 takes slot k = 1
     eng.apply_arc_delta(2, 4, 5)
     assert eng.slot_of(2) is None
-    assert eng.slot_of(4) == 2
+    assert eng.node_slots() == (1, 4)
     eng.apply_arc_delta(9, 4, 1)
-    assert eng.slot_of(9) == 1
+    assert eng.slot_of(9) == 2  # an entering node takes slot k
 
     eng = SubsetSumEngine()
-    eng.rebuild_from_debts({1: 3, 2: 5, 3: -3, 4: -5})  # nodes 1..4 -> slots 0..3
-    eng.apply_arc_delta(4, 1, 5)  # node 4 cancels: slot 3 falls vacant
-    eng.apply_arc_delta(3, 2, 5)  # node 2 cancels: slot 1 falls vacant
-    assert eng.live_mask == 0b0101
-    eng.apply_arc_delta(5, 1, 4)
-    eng.apply_arc_delta(6, 1, 1)
-    assert (eng.slot_of(5), eng.slot_of(6)) == (1, 3)  # lowest vacancy first
+    eng.rebuild_from_debts({1: 3, 2: 5, 3: -3, 4: -5, 5: 7, 6: -7})  # slots 0..5
+    eng.apply_arc_delta(3, 2, 5)  # node 2 leaves slot 1 to node 6 from the top slot
+    assert eng.node_slots() == (1, 6, 3, 4, 5)
+    assert audit_sums(eng)
+    eng.apply_arc_delta(4, 1, 5)  # node 4 leaves slot 3 to node 5 from the top slot
+    assert eng.node_slots() == (1, 6, 3, 5)
+    eng.apply_arc_delta(3, 5, 7)  # node 5 leaves the top slot: nothing moves
+    assert eng.node_slots() == (1, 6, 3)
+    assert eng.last_touched_sums == 2 ** (3 - 1)  # only node 3's half-sweep
+    eng.apply_arc_delta(7, 1, 1)
+    assert eng.node_slots() == (1, 6, 3, 7)
+    assert eng.live_mask == 0b1111
     assert audit_sums(eng)
 
 
@@ -134,6 +139,12 @@ def test_apply_validation():
         eng.apply_arc_delta(1, 2, 0)
     with pytest.raises(AmountError):
         eng.apply_arc_delta(1, 2, -3)
+    eng.apply_arc_delta(1, 2, 4)
+    before = engine_digest(eng)
+    for x in (2.5, np.int64(5)):
+        with pytest.raises(AmountError):
+            eng.apply_arc_delta(1, 3, x)
+        assert engine_digest(eng) == before
 
 
 def test_apply_overflow_guard():
@@ -168,13 +179,17 @@ def test_apply_touch_count_bound():
     eng.apply_arc_delta(7, 2, 1)
     k = eng.vstar_size
     assert eng.last_touched_sums <= 3 * 2 ** (k - 2)
-    # vacant slots below live ones are not swept: the count follows the live k
-    eng.apply_arc_delta(2, 1, 11)
-    eng.apply_arc_delta(2, 7, 1)  # nodes 1, 2 and 7 cancel: slots 0, 1 and 6 fall vacant
-    assert eng.live_mask == 0b111100
-    k = eng.vstar_size
-    eng.apply_arc_delta(3, 4, 1)
-    assert eng.last_touched_sums == 2 * 2 ** (k - 2)
+    # a departing endpoint hands its slot to the top slot's node, moving
+    # 2^(K-2) entries, K the larger of k before and after
+    K = eng.vstar_size
+    eng.apply_arc_delta(2, 1, 11)  # node 1 cancels: node 7 moves from slot 6 to slot 0
+    assert eng.slot_of(7) == 0
+    assert eng.last_touched_sums == 2 * 2 ** (K - 2)
+    # a move, then a fresh endpoint at the top: exactly the bound
+    K = eng.vstar_size
+    eng.apply_arc_delta(8, 7, 1)  # node 7 cancels, node 8 enters
+    assert eng.slot_of(8) == K - 1
+    assert eng.last_touched_sums == 3 * 2 ** (K - 2)
     assert audit_sums(eng)
 
 
@@ -221,6 +236,15 @@ def test_zero_sets_example():
     assert list(eng.zero_sets()) == [0b0110, 0b1001, 0b1111]
 
 
+def test_clear_block_of_every_slot_moves_nothing():
+    eng = SubsetSumEngine()
+    eng.rebuild_from_debts({1: 4, 2: -1, 3: -1, 4: -1, 5: -1})
+    eng.apply_arc_delta(1, 2, 1)
+    eng.clear_block(eng.live_mask)  # highest first: each freed slot is the top
+    assert eng.last_touched_sums == 0
+    assert eng.live_mask == 0 and eng.balances() == {}
+
+
 def test_zero_sets_singleton_is_empty():
     eng = SubsetSumEngine()
     eng.rebuild_from_debts({4: 9, 9: -9})
@@ -264,6 +288,8 @@ def test_ground_truth_after_any_sequence(ops):
         eng.apply_arc_delta(u, v, x)
     assert audit_sums(eng)
     assert eng.subset_sum(eng.live_mask) == 0
+    assert eng.live_mask == (1 << eng.vstar_size) - 1
+    assert None not in eng.node_slots()
     # a node holds a slot iff its balance is nonzero
     balances = eng.balances()
     assert all(d != 0 for d in balances.values())

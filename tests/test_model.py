@@ -93,6 +93,8 @@ def test_borrowing_validation():
         Borrowing(0, 1, 0)
     with pytest.raises(AmountError):
         Borrowing(0, 1, -4)
+    with pytest.raises(AmountError):
+        Borrowing(0, 1, 2.5)
     with pytest.raises(UnknownNodeError):
         Borrowing(-1, 1, 4)
     with pytest.raises(MoneyOverflowError):
