@@ -25,8 +25,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .bits import MASK_DTYPE, bit_positions
+from .bits import MASK_DTYPE, bit_positions, check_table_bytes
 from .errors import (
+    AmountError,
     CapacityError,
     ContractError,
     LoopError,
@@ -44,7 +45,8 @@ def _check_range(balances: Iterable[Money]) -> None:
     """Refuse balances whose positive or negative total leaves the int64 range.
 
     Every subset sum lies between the two totals, so this bounds the
-    whole table.
+    whole table.  The balances must be ``int``s: a numpy scalar would
+    wrap while being summed.
     """
     pos = neg = 0
     for d in balances:
@@ -56,6 +58,11 @@ def _check_range(balances: Iterable[Money]) -> None:
         raise MoneyOverflowError("balances would exceed the signed 64-bit range")
 
 
+def _check_table(k: int) -> None:
+    """Refuse a live table of ``2^k`` int64 sums over the table budget."""
+    check_table_bytes(8 << k, "the sums table")
+
+
 class SubsetSumEngine:
     """Net balances plus subset sums over the nonzero-balance nodes.
 
@@ -65,8 +72,9 @@ class SubsetSumEngine:
     once.  The live sums are the first ``2^k`` int64 entries of an
     allocation that grows by doubling when a node enters a full one and
     never shrinks as balances settle, so it holds ``2^w`` entries, w
-    being the peak k since the last batch rebuild (128 MiB if all 24
-    default slots were ever held together).
+    being the peak k since the last batch rebuild.  A k whose live table
+    would exceed ``bits.TABLE_BYTES_MAX`` (128 MiB, the 24 default slots)
+    is refused before anything is allocated.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
@@ -190,10 +198,10 @@ class SubsetSumEngine:
     def apply_arc_delta(self, u: NodeId, v: NodeId, x: Money) -> None:
         """Record that ``u`` must pay ``x`` to ``v`` and repair the sums.
 
-        ``x`` must be a positive ``int``.  Both signs of the int64 range
-        and the slot capacity are checked on the prospective balances
-        before anything changes, so a rejected arc leaves the engine as it
-        was.  An endpoint whose balance returns to zero leaves its slot
+        ``x`` must be a positive ``int``.  Both signs of the int64 range,
+        the slot capacity and the table budget are checked on the
+        prospective balances before anything changes, so a rejected arc
+        leaves the engine as it was.  An endpoint whose balance returns to zero leaves its slot
         first, which may move the top slot's sums down; only then does a
         fresh endpoint enter at slot k.  Each endpoint still live has
         ``x`` (or ``-x``) added to its view "this endpoint set, the other
@@ -217,6 +225,7 @@ class SubsetSumEngine:
             raise CapacityError(
                 f"all {self._capacity} slots in use; cannot track another nonzero balance"
             )
+        _check_table(self.vstar_size + need - (new_u == 0) - (new_v == 0))
 
         # departures before entries: an entering endpoint never widens the
         # table past the final k, and no slot move copies its stale entries
@@ -250,12 +259,16 @@ class SubsetSumEngine:
     def rebuild_from_debts(self, debts: Mapping[NodeId, Money]) -> None:
         """Reset the engine to the given balances in one batch pass.
 
-        The slot capacity and both signs of the int64 range are checked
-        before anything changes.  Slots are assigned to nonzero-balance
-        nodes in ascending node order, and the table is filled by
-        doubling: the sums with slot j set are the sums below ``2^j`` plus
-        slot j's balance.
+        Every balance must be an ``int``; that, the slot capacity, the
+        table budget and both signs of the int64 range are checked before
+        anything changes.  Slots are assigned to nonzero-balance nodes in
+        ascending node order, and the table is filled by doubling: the
+        sums with slot j set are the sums below ``2^j`` plus slot j's
+        balance.
         """
+        for d in debts.values():
+            if type(d) is not int:
+                raise AmountError(f"balance must be an integer, got {d!r}")
         nonzero = sorted((u, d) for u, d in debts.items() if d != 0)
         k = len(nonzero)
         if k > self._capacity:
@@ -263,6 +276,7 @@ class SubsetSumEngine:
                 f"{k} nonzero balances exceed the configured {self._capacity} slots"
             )
         _check_range(d for _, d in nonzero)
+        _check_table(k)
 
         self._node_of_slot = [u for u, _ in nonzero]
         self._slot_of_node = {u: i for i, (u, _) in enumerate(nonzero)}

@@ -8,7 +8,9 @@ before the dynamic program runs:
   the final partition and drops every set touching a committed pair, and
 * non-atomic pruning drops every set that strictly contains another set
   of the list: the containee plus its complement always do at least as
-  well as the container.
+  well as the container.  It is one whole-table closure: with the list
+  packed as a bitset Z, the survivors are Z and not strictUp(Z), where
+  strictUp(Z) holds every mask that strictly contains a member.
 
 Both passes preserve the maximal achievable part count; neither ever
 adds a set.
@@ -21,7 +23,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bits import MASK_DTYPE, popcount_array
+from .bits import MASK_DTYPE, pack_masks, packed_member, popcount_array, strict_up
 from .errors import ContractError
 
 
@@ -95,22 +97,17 @@ def clear_pairs(s0: ZeroSetList) -> PairExtraction:
 def clear_non_atomic(s0: ZeroSetList) -> ZeroSetList:
     """Drop every set that strictly contains another member of the list.
 
-    The survivors are exactly the inclusion-minimal ("atomic") members.
-    Candidates are visited in list order: a strict subset always has a
-    smaller mask, so each one only has to be tested against
-    already-accepted atoms.
+    The survivors are exactly the inclusion-minimal ("atomic") members,
+    in list order.  The list is packed as a bitset Z over the masks below
+    ``2^width``, width being the bit length of its largest mask, and one
+    whole-table closure computes strictUp(Z), every mask strictly
+    containing a member; the survivors are Z and not strictUp(Z).  A list
+    of fewer than two members has nothing to prune.  Raises
+    ``CapacityError`` before allocating a bitset over the table budget.
     """
-    n = len(s0)
-    if n == 0:
-        return s0
     masks = s0.masks
-    keep = np.ones(n, dtype=bool)
-    atoms = np.empty(n, dtype=MASK_DTYPE)
-    count = 0
-    for idx, m in enumerate(masks):
-        if count and bool(np.any((atoms[:count] & m) == atoms[:count])):
-            keep[idx] = False
-        else:
-            atoms[count] = m
-            count += 1
-    return ZeroSetList(masks[keep], _trusted=True)
+    if len(masks) < 2:
+        return s0
+    width = int(masks[-1]).bit_length()
+    up = strict_up(pack_masks(masks, width), width)
+    return ZeroSetList(masks[~packed_member(up, masks)], _trusted=True)

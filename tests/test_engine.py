@@ -11,6 +11,7 @@ from debtclear import (
     SplitMix64,
     StaleMaskError,
 )
+from debtclear import bits
 from debtclear.engine import SubsetSumEngine
 
 from _support import (
@@ -164,6 +165,46 @@ def test_rebuild_overflow_guard():
     with pytest.raises(MoneyOverflowError):
         eng.rebuild_from_debts({0: -(2**62), 1: -(2**62), 2: -1})
     assert engine_digest(eng) == before
+
+
+@pytest.mark.parametrize(
+    "debts",
+    [
+        {0: 2.5, 1: -2.5},
+        {0: np.int64(2**62), 1: np.int64(2**62), 2: -(2**63)},
+        {0: 3, 1: -3, 2: 0.0},
+    ],
+)
+def test_rebuild_rejects_non_int_balances(debts):
+    eng = SubsetSumEngine()
+    eng.apply_arc_delta(1, 2, 5)
+    before = engine_digest(eng)
+    with pytest.raises(AmountError):
+        eng.rebuild_from_debts(debts)
+    assert engine_digest(eng) == before
+
+
+def test_table_budget_boundary(monkeypatch):
+    monkeypatch.setattr(bits, "TABLE_BYTES_MAX", 8 << 3)  # three slots of sums
+    eng = SubsetSumEngine(capacity=63)
+    eng.apply_arc_delta(10, 11, 2)
+    eng.apply_arc_delta(11, 12, 1)
+    assert eng.node_slots() == (10, 11, 12)
+    before = engine_digest(eng)
+    with pytest.raises(CapacityError):
+        eng.apply_arc_delta(13, 14, 1)  # both fresh: five slots
+    with pytest.raises(CapacityError):
+        eng.apply_arc_delta(13, 10, 1)  # one fresh: four slots
+    assert engine_digest(eng) == before
+    eng.apply_arc_delta(13, 10, 2)  # node 10 settles as 13 enters: still three
+    assert eng.node_slots() == (12, 11, 13)
+    assert audit_sums(eng)
+    before = engine_digest(eng)
+    with pytest.raises(CapacityError):
+        eng.rebuild_from_debts({1: 1, 2: 1, 3: 1, 4: -3})
+    assert engine_digest(eng) == before
+    eng.rebuild_from_debts({1: 1, 2: 1, 3: -2, 4: 0})
+    assert eng.vstar_size == 3 and audit_sums(eng)
 
 
 def test_apply_touch_count_bound():

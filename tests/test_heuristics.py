@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from debtclear import (
+    CapacityError,
     ContractError,
     ZeroSetList,
     clear_non_atomic,
@@ -10,7 +13,7 @@ from debtclear import (
 
 from _support import random_instance
 
-from debtclear import balances_of
+from debtclear import balances_of, bits
 from debtclear.engine import SubsetSumEngine
 
 
@@ -97,6 +100,30 @@ def test_clear_non_atomic_idempotent_antichain():
     for a in members:
         for b in members:
             assert a == b or (a & b) != a  # no strict containment survives
+
+
+def inclusion_minimal(masks):
+    return [m for m in masks if not any(a & m == a and a != m for a in masks)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda w: st.lists(st.integers(1, (1 << w) - 1), max_size=40)))
+def test_clear_non_atomic_matches_brute_force(masks):
+    # widths up to 6 stay inside one packed word; wider ones add word views
+    s0 = ZeroSetList(masks)
+    assert list(clear_non_atomic(s0)) == inclusion_minimal(list(s0))
+
+
+def test_clear_non_atomic_refuses_wide_bitset(monkeypatch):
+    with pytest.raises(CapacityError):
+        clear_non_atomic(zsl(1 << 40, (1 << 40) | 1))
+    # a 9-bit list packs into 64 bytes, a 10-bit one into 128
+    monkeypatch.setattr(bits, "TABLE_BYTES_MAX", 64)
+    assert list(clear_non_atomic(zsl(1 << 8, (1 << 8) | 1))) == [1 << 8]
+    with pytest.raises(CapacityError):
+        clear_non_atomic(zsl(1 << 9, (1 << 9) | 1))
+    # short lists need no bitset
+    assert list(clear_non_atomic(zsl(1 << 40))) == [1 << 40]
 
 
 def test_heuristics_never_add_sets():
