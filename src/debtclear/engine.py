@@ -40,6 +40,32 @@ from .model import MONEY_MAX, MONEY_MIN, Money, NodeId, _check_amount
 DEFAULT_CAPACITY = 24
 MAX_CAPACITY = 63
 
+# Tables that engines are done with, at most one per length, for the
+# next table of that length.  Engines are often short-lived and reach
+# the same width again (a static solve builds one, and so does every
+# fresh Ledger, by doubling), and a table the allocator hands out fresh
+# may fault its pages in one by one, or not, depending on whether the
+# heap was trimmed before.  Only the table of a dropped engine, or one a
+# batch rebuild replaces, is kept: a table outgrown by doubling goes back
+# to the allocator, whose recently freed chunks come back cache-warm for
+# the doublings of the next engine.  Lengths above SPARE_LEN_MAX (16
+# slots) are left to the allocator too, so at most twice that many int64
+# entries (1 MiB) are held back.
+SPARE_LEN_MAX = 1 << 16
+_spare: dict[int, np.ndarray] = {}
+
+
+def _take_table(n: int) -> np.ndarray:
+    """An int64 table of ``n`` entries, reused if one was let go of."""
+    table = _spare.pop(n, None)
+    return np.empty(n, dtype=MASK_DTYPE) if table is None else table
+
+
+def _release_table(table: np.ndarray) -> None:
+    """Keep a table no engine reads any more for ``_take_table``."""
+    if len(table) <= SPARE_LEN_MAX:
+        _spare.setdefault(len(table), table)
+
 
 def _check_range(balances: Iterable[Money]) -> None:
     """Refuse balances whose positive or negative total leaves the int64 range.
@@ -74,7 +100,9 @@ class SubsetSumEngine:
     never shrinks as balances settle, so it holds ``2^w`` entries, w
     being the peak k since the last batch rebuild.  A k whose live table
     would exceed ``bits.TABLE_BYTES_MAX`` (128 MiB, the 24 default slots)
-    is refused before anything is allocated.
+    is refused before anything is allocated.  A table replaced by a
+    rebuild or dropped with the engine goes to the module's spare tables
+    (``_take_table``).
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
@@ -86,6 +114,13 @@ class SubsetSumEngine:
         self._slot_of_node: dict[NodeId, int] = {}
         self._debts: dict[NodeId, Money] = {}
         self._touched_last = 0
+
+    def __del__(self) -> None:
+        # the table never leaves the engine (reads copy out of it), so no
+        # view of it outlives the engine
+        table = getattr(self, "_sums", None)
+        if table is not None:
+            _release_table(table)
 
     # ---- read access -------------------------------------------------
 
@@ -185,7 +220,7 @@ class SubsetSumEngine:
         if u not in self._slot_of_node:
             k = len(self._node_of_slot)
             if 2 << k > len(self._sums):
-                sums = np.empty(2 * len(self._sums), dtype=MASK_DTYPE)
+                sums = _take_table(2 * len(self._sums))
                 sums[: len(self._sums)] = self._sums
                 self._sums = sums
             self._node_of_slot.append(u)
@@ -283,10 +318,11 @@ class SubsetSumEngine:
         self._debts = dict(nonzero)
         self._touched_last = 0
 
-        sums = np.empty(1 << k, dtype=MASK_DTYPE)
+        sums = _take_table(1 << k)
         sums[0] = 0
         for j, (_, d) in enumerate(nonzero):
             np.add(sums[: 1 << j], d, out=sums[1 << j : 2 << j])
+        _release_table(self._sums)
         self._sums = sums
 
     # ---- block removal ---------------------------------------------------

@@ -11,7 +11,7 @@ from debtclear import (
     SplitMix64,
     StaleMaskError,
 )
-from debtclear import bits
+from debtclear import bits, engine as engine_mod
 from debtclear.engine import SubsetSumEngine
 
 from _support import (
@@ -205,6 +205,49 @@ def test_table_budget_boundary(monkeypatch):
     assert engine_digest(eng) == before
     eng.rebuild_from_debts({1: 1, 2: 1, 3: -2, 4: 0})
     assert eng.vstar_size == 3 and audit_sums(eng)
+
+
+def test_dropped_and_replaced_tables_are_reused(monkeypatch):
+    monkeypatch.setattr(engine_mod, "_spare", {})
+    eng = SubsetSumEngine()
+    eng.apply_arc_delta(0, 1, 1)  # two slots: the table doubles twice
+    assert engine_mod._spare == {}  # outgrown tables go back to the allocator
+    table = eng._sums
+    del eng
+    other = SubsetSumEngine()
+    other.apply_arc_delta(5, 6, 1)  # doubles into the dropped engine's table
+    assert other._sums is table and audit_sums(other)
+    other.rebuild_from_debts({1: 1, 2: 2, 3: -3})  # 8 entries replace the 4
+    assert engine_mod._spare[4] is table and audit_sums(other)
+
+
+def test_spare_tables_are_capped(monkeypatch):
+    monkeypatch.setattr(engine_mod, "_spare", {})
+    monkeypatch.setattr(engine_mod, "SPARE_LEN_MAX", 4)
+    eng = SubsetSumEngine()
+    eng.rebuild_from_debts({0: 1, 1: -1})  # 4 entries replace the initial 1
+    eng.rebuild_from_debts({0: 1, 1: 2, 2: -3})  # 8 entries replace the 4
+    del eng  # its 8-entry table is over the cap
+    assert sorted(engine_mod._spare) == [1, 4]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(1, 9)), max_size=30))
+def test_reused_tables_leave_no_stale_sums(ops):
+    # every spare table is filled with junk; the engine must overwrite
+    # whatever it reads
+    spare = {1 << j: np.full(1 << j, -12345, dtype=np.int64) for j in range(10)}
+    engine_mod._spare, saved = spare, engine_mod._spare
+    try:
+        eng = SubsetSumEngine()
+        for u, v, x in ops:
+            if u != v:
+                eng.apply_arc_delta(u, v, x)
+                assert audit_sums(eng)
+        eng.rebuild_from_debts(eng.balances())
+        assert audit_sums(eng)
+    finally:
+        engine_mod._spare = saved
 
 
 def test_apply_touch_count_bound():
