@@ -67,6 +67,14 @@ def pack_masks(masks: np.ndarray, width: int) -> np.ndarray:
     return words
 
 
+def unpack_masks(words: np.ndarray) -> np.ndarray:
+    """The members of the packed set ``words``, ascending: ``pack_masks`` undone."""
+    nz = np.flatnonzero(words)
+    bits = np.unpackbits(words[nz].astype("<u8").view(np.uint8), bitorder="little")
+    word, bit = np.divmod(np.flatnonzero(bits), 64)
+    return (nz[word] << 6) + bit
+
+
 def packed_member(words: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Per-element test of ``masks`` for membership in the packed set ``words``."""
     return ((words[masks >> 6] >> (masks & 63).astype(np.uint64)) & np.uint64(1)) != 0

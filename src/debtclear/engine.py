@@ -175,6 +175,22 @@ class SubsetSumEngine:
         hits = np.flatnonzero(self._region() == 0)
         return ZeroSetList(hits[hits != 0], _trusted=True)
 
+    def zero_bits(self) -> np.ndarray:
+        """The zero sets of ``zero_sets``, packed as in ``bits.pack_masks``.
+
+        One bit per live mask, set where the live table is zero, bit 0
+        (the empty set) cleared: ``max(1, 2^k / 64)`` ``uint64`` words,
+        checked against the table budget before they are allocated.
+        """
+        k = len(self._node_of_slot)
+        nbytes = 8 * max(1, (1 << k) >> 6)
+        check_table_bytes(nbytes, "the packed zero sets")
+        packed = np.zeros(nbytes, dtype=np.uint8)
+        bits = np.packbits(self._sums[: 1 << k] == 0, bitorder="little")
+        packed[: len(bits)] = bits
+        packed[0] &= 0xFE
+        return packed.view("<u8").astype(np.uint64, copy=False)
+
     def _region(self, ones: Iterable[int] = (), zeros: Iterable[int] = ()) -> np.ndarray:
         """Writable view of the live sums with ``ones`` set and ``zeros`` clear.
 
@@ -255,12 +271,13 @@ class SubsetSumEngine:
         new_u = du + x
         new_v = dv - x
         _check_range({**self._debts, u: new_u, v: new_v}.values())
-        need = (du == 0) + (dv == 0)
-        if need > self._capacity - self.vstar_size:
+        # an endpoint that settles frees its slot before a fresh one takes it
+        k = self.vstar_size + (du == 0) + (dv == 0) - (new_u == 0) - (new_v == 0)
+        if k > self._capacity:
             raise CapacityError(
                 f"all {self._capacity} slots in use; cannot track another nonzero balance"
             )
-        _check_table(self.vstar_size + need - (new_u == 0) - (new_v == 0))
+        _check_table(k)
 
         # departures before entries: an entering endpoint never widens the
         # table past the final k, and no slot move copies its stale entries

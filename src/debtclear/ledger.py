@@ -114,18 +114,18 @@ class Ledger:
         """Retire ``u``, first settling its debts in a smallest zero-sum group.
 
         The group is chosen so the rest of the graph can still reach its
-        optimal plan afterwards.  Pair extraction is skipped here: it can
-        hide the group that best covers ``u``.  Every settled member stays
-        a live node with zero balance; only ``u`` itself is retired.
+        optimal plan afterwards, by the level DP of ``min_removal_set`` on
+        the packed zero sets of the whole live table: no zero-set list, and
+        no pair extraction, which can hide the group that best covers ``u``.
+        Every settled member stays a live node with zero balance; only
+        ``u`` itself is retired.  A ``CapacityError`` changes nothing.
         """
         self._check_live(u)
         if self._engine.debt(u) == 0:
             self._live.remove(u)
             return []
-        s0 = self._engine.zero_sets()
-        atoms = clear_non_atomic(s0)
         part = min_removal_set(
-            self._engine.live_mask, atoms, self._engine.slot_of(u), universe=s0
+            self._engine.zero_bits(), self._engine.vstar_size, self._engine.slot_of(u)
         )
         txns = settle_part(part, self._engine.node_slots(), self._engine.balances())
         self._engine.clear_block(part)

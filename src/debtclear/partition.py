@@ -3,10 +3,11 @@
 Clearing all debts with the fewest payments is the same problem as
 splitting the nonzero-balance nodes into as many disjoint zero-sum
 groups as possible: a group of size s settles internally with s - 1
-payments, so every extra group saves one payment.
+payments, so every extra group saves one payment.  Write h(S) for the
+most disjoint zero sets a zero set S splits into.
 
-The search is one dynamic program over slot masks, and both entry
-points take the same two zero-set lists:
+``max_partition`` (the query path) is one dynamic program over slot
+masks, driven by two zero-set lists:
 
 * ``universe`` lists every zero-sum subset of ``live`` (members outside
   ``live`` are ignored); the table has one row per such set plus the
@@ -14,11 +15,19 @@ points take the same two zero-set lists:
 * ``s0`` is any sublist of ``universe`` that contains every atom, i.e.
   every inclusion-minimal zero-sum set; it supplies the candidate parts.
 
-``dp[t]`` is the most parts the zero set ``t`` splits into, and each row
-records the numerically smallest part that attains it.  Any zero set
-``z`` with ``dp[t \\ z] = dp[t] - 1`` is itself an atom (a zero set
-strictly inside ``z`` would split off one more part), so the atoms alone
-and the full list give the same dp and the same choice.
+``dp[t]`` is h(t), and each row records the numerically smallest part
+that attains it.  Any zero set ``z`` with ``dp[t \\ z] = dp[t] - 1`` is
+itself an atom (a zero set strictly inside ``z`` would split off one more
+part), so the atoms alone and the full list give the same dp and the same
+choice.
+
+``min_removal_set`` (the departure path) takes no list.  It reads the
+packed set Z of all nonempty zero sets (``bits.pack_masks`` layout) and
+builds levels A_p = {zero sets S : h(S) >= p}: A_1 = Z, and A_(p+1) =
+Z and ``bits.strict_up``(A_p), because a zero set splits into p + 1 parts
+exactly when it strictly contains a zero set that splits into p (the
+difference of two nested zero sets is again a zero set).  Only the last
+two levels are kept.
 """
 
 from __future__ import annotations
@@ -28,7 +37,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bits import MASK_DTYPE, bit_positions, popcount_array
+from .bits import (
+    MASK_DTYPE,
+    bit_positions,
+    check_table_bytes,
+    packed_member,
+    popcount_array,
+    strict_up,
+    unpack_masks,
+)
 from .errors import ContractError
 from .heuristics import ZeroSetList
 from .model import Money, NodeId, Transaction
@@ -107,27 +124,42 @@ def max_partition(live: int, s0: ZeroSetList, universe: ZeroSetList) -> Partitio
     return PartitionResult(parts, len(parts))
 
 
-def min_removal_set(live: int, s0: ZeroSetList, u_slot: int, universe: ZeroSetList) -> int:
-    """Smallest zero-sum group containing slot ``u_slot`` that an optimal
-    partition can afford to settle now.
+def _holds(words: np.ndarray, mask: int) -> bool:
+    return bool(packed_member(words, np.array([mask]))[0])
 
-    Returns the mask P with ``dp[live] = dp[live \\ P] + 1`` of minimum
-    cardinality (ties to the numerically smallest mask).  ``universe``
-    and ``s0`` follow the module contract over the whole of ``live``, so
-    neither may have been through pair extraction: committing pairs
-    first can make the best removal group for ``u`` unreachable.
+
+def min_removal_set(zero: np.ndarray, k: int, u_slot: int) -> int:
+    """Smallest zero-sum group containing slot ``u_slot`` that an optimal
+    partition of the live mask ``2^k - 1`` can afford to settle now.
+
+    ``zero`` is the packed set of every nonempty zero set below ``2^k``
+    (``SubsetSumEngine.zero_bits``).  Returns the zero set P containing
+    ``u_slot`` with ``h(live \\ P) = h(live) - 1`` of minimum cardinality,
+    ties to the numerically smallest mask (see the module docstring for
+    the levels and h).  When the live mask is the only zero set it is
+    the answer.  Raises ``CapacityError`` before the level bitsets would
+    exceed the table budget.
     """
+    live = (1 << k) - 1
     ubit = 1 << u_slot
     if not live & ubit:
         raise ContractError(f"slot {u_slot} is not in the live mask")
-    masks, dp, _ = _solve_dp(live, s0, universe)
-    i = _find(masks, live)
-    if i < 0 or dp[i] < 1:
-        raise ContractError("live mask is not partitionable with the given zero sets")
-    cand = (dp == dp[i] - 1) & ((masks & MASK_DTYPE(ubit)) == 0)
-    if not bool(cand.any()):
-        raise ContractError("no removal group exists; zero-set list is incomplete")
-    p = masks[cand] ^ MASK_DTYPE(live)
+    if not _holds(zero, live):
+        raise ContractError("the live mask is not a zero set")
+    if int(np.bitwise_count(zero).sum()) == 1:
+        return live
+    check_table_bytes(3 * zero.nbytes, "the departure's level bitsets")
+    # prev, cur = A_(p-1), A_p; live has a proper zero subset, so h(live) >= 2
+    prev = cur = zero
+    while True:
+        nxt = strict_up(cur, k)
+        nxt &= zero
+        if not _holds(nxt, live):
+            break
+        prev, cur = cur, nxt
+    # every C in A_(h(live) - 1) without u leaves P = live ^ C, and no other does
+    cand = unpack_masks(prev)
+    p = cand[(cand & MASK_DTYPE(ubit)) == 0] ^ MASK_DTYPE(live)
     order = np.lexsort((p, popcount_array(p)))
     return int(p[order[0]])
 

@@ -9,6 +9,7 @@ from debtclear.bits import (
     packed_member,
     popcount_array,
     strict_up,
+    unpack_masks,
 )
 
 
@@ -38,6 +39,7 @@ def test_strict_up_matches_brute_force(width):
         assert len(words) == max(1, (1 << width) >> 6)
         every = np.arange(1 << width)
         assert set(np.flatnonzero(packed_member(words, every)).tolist()) == members
+        assert unpack_masks(words).tolist() == sorted(members)
         up = packed_member(strict_up(words, width), every)
         assert set(np.flatnonzero(up).tolist()) == brute_strict_up(members, width)
 

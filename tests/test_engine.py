@@ -101,6 +101,18 @@ def test_capacity_error_leaves_state_unchanged():
     assert engine_digest(eng) == before
 
 
+def test_capacity_counts_an_endpoint_that_settles():
+    eng = SubsetSumEngine(capacity=2)
+    eng.apply_arc_delta(1, 2, 5)
+    eng.apply_arc_delta(3, 1, 5)  # node 1 settles as node 3 enters: still two slots
+    assert eng.balances() == {2: -5, 3: 5}
+    assert audit_sums(eng)
+    before = engine_digest(eng)
+    with pytest.raises(CapacityError):
+        eng.apply_arc_delta(4, 2, 1)  # node 2 stays open: a third slot
+    assert engine_digest(eng) == before
+
+
 # ---- apply_arc_delta ----------------------------------------------------
 
 
@@ -373,6 +385,8 @@ def test_ground_truth_after_any_sequence(ops):
     assert audit_sums(eng)
     assert eng.subset_sum(eng.live_mask) == 0
     assert eng.live_mask == (1 << eng.vstar_size) - 1
+    packed = bits.pack_masks(eng.zero_sets().masks, eng.vstar_size)
+    assert np.array_equal(eng.zero_bits(), packed)
     assert None not in eng.node_slots()
     # a node holds a slot iff its balance is nonzero
     balances = eng.balances()

@@ -1,5 +1,6 @@
 import pytest
 
+from debtclear import bits, ledger as ledger_mod
 from debtclear import (
     AmountError,
     Borrowing,
@@ -179,6 +180,41 @@ def test_remove_node_shrinks_vstar_exactly_by_group():
                 assert after[u] == 0
             else:
                 assert after[u] == debts[u]
+
+
+def stream_ledger(seed=5, n=12, arcs=40):
+    rng = SplitMix64(seed)
+    led = Ledger()
+    for _ in range(n):
+        led.insert_node()
+    for _ in range(arcs):
+        u, v = rng.randint(0, n - 1), rng.randint(0, n - 1)
+        if u != v:
+            led.insert_arc(u, v, rng.randint(1, 4))
+    return led
+
+
+def test_remove_node_builds_no_zero_set_list(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("zero-set list built on the departure path")
+
+    led = stream_ledger()
+    monkeypatch.setattr(type(led.engine), "zero_sets", refuse)
+    monkeypatch.setattr(ledger_mod, "clear_non_atomic", refuse)
+    settled = 0
+    for u in sorted(led.live_nodes):
+        settled += len(led.remove_node(u))
+    assert settled > 0 and not led.live_nodes
+
+
+def test_remove_node_over_budget_changes_nothing(monkeypatch):
+    led = stream_ledger()
+    u = next(w for w, d in led.debts.items() if d)
+    before = (engine_digest(led.engine), led.debts, led.live_nodes)
+    monkeypatch.setattr(bits, "TABLE_BYTES_MAX", 8)
+    with pytest.raises(CapacityError):
+        led.remove_node(u)
+    assert (engine_digest(led.engine), led.debts, led.live_nodes) == before
 
 
 # ---- query ----------------------------------------------------------------------

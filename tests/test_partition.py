@@ -1,6 +1,11 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from debtclear import (
+    CapacityError,
     ContractError,
     Transaction,
     ZeroSetList,
@@ -8,8 +13,10 @@ from debtclear import (
     clear_non_atomic,
     max_partition,
     min_removal_set,
+    oracle_max_zero_partition,
     settle_part,
 )
+from debtclear import bits, partition
 from debtclear.engine import SubsetSumEngine
 
 from _support import random_instance
@@ -86,24 +93,21 @@ def remove_fixture():
 def test_min_removal_worked_example():
     eng = remove_fixture()
     # node 4 sits in slot 3; the only small zero-sum group covering it is {4,5}
-    s0 = eng.zero_sets()
-    p = min_removal_set(eng.live_mask, s0, 3, s0)
+    p = min_removal_set(eng.zero_bits(), eng.vstar_size, 3)
     assert p == 0b11000
 
 
 def test_min_removal_pair_remainder():
     eng = SubsetSumEngine()
     eng.rebuild_from_debts({1: 10, 5: -10})
-    s0 = eng.zero_sets()
-    p = min_removal_set(eng.live_mask, s0, 0, s0)
+    p = min_removal_set(eng.zero_bits(), eng.vstar_size, 0)
     assert p == 0b11
 
 
 def test_min_removal_requires_live_slot():
     eng = remove_fixture()
-    s0 = eng.zero_sets()
     with pytest.raises(ContractError):
-        min_removal_set(eng.live_mask, s0, 7, s0)
+        min_removal_set(eng.zero_bits(), eng.vstar_size, 7)
 
 
 def test_min_removal_satisfies_dp_identity():
@@ -119,7 +123,7 @@ def test_min_removal_satisfies_dp_identity():
         for slot in range(live.bit_length()):
             if not live >> slot & 1:
                 continue
-            p = min_removal_set(live, s0, slot, s0)
+            p = min_removal_set(eng.zero_bits(), eng.vstar_size, slot)
             assert p & (1 << slot)
             assert eng.subset_sum(p) == 0
             rest = live ^ p
@@ -132,9 +136,59 @@ def test_min_removal_prefers_smallest_cardinality():
     # slot 0 can leave inside a pair or inside the whole triple-joined mask
     eng = SubsetSumEngine()
     eng.rebuild_from_debts({1: 1, 2: -1, 3: 1, 4: -1})
-    s0 = eng.zero_sets()
-    p = min_removal_set(eng.live_mask, s0, 0, s0)
+    p = min_removal_set(eng.zero_bits(), eng.vstar_size, 0)
     assert p == 0b0011  # pair beats any 4-element cover
+
+
+@lru_cache(maxsize=None)
+def oracle_parts(balances: tuple[int, ...]) -> int:
+    return oracle_max_zero_partition(dict(enumerate(balances))).max_parts
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-9, 9).filter(bool), min_size=1, max_size=9), st.data())
+def test_min_removal_matches_brute_force(vals, data):
+    if sum(vals):
+        vals = vals + [-sum(vals)]
+    eng = SubsetSumEngine()
+    eng.rebuild_from_debts(dict(enumerate(vals)))  # node i holds slot i
+    k = len(vals)
+    u = data.draw(st.integers(0, k - 1))
+    full = oracle_parts(tuple(sorted(vals)))
+
+    def keeps_rest_optimal(p):
+        rest = tuple(sorted(vals[i] for i in range(k) if not p >> i & 1))
+        return oracle_parts(rest) == full - 1
+
+    groups = [
+        p
+        for p in range(1, 1 << k)
+        if p >> u & 1
+        and sum(vals[i] for i in range(k) if p >> i & 1) == 0
+        and keeps_rest_optimal(p)
+    ]
+    expected = min(groups, key=lambda p: (p.bit_count(), p))
+    assert min_removal_set(eng.zero_bits(), k, u) == expected
+
+
+def test_min_removal_without_proper_zero_subset_is_live(monkeypatch):
+    # no proper subset of {1, 2, -3} sums to zero: the early exit, no closure
+    def no_closure(*args):
+        raise AssertionError("strict_up called")
+
+    monkeypatch.setattr(partition, "strict_up", no_closure)
+    eng = SubsetSumEngine()
+    eng.rebuild_from_debts({0: 1, 1: 2, 2: -3})
+    for slot in range(3):
+        assert min_removal_set(eng.zero_bits(), 3, slot) == 0b111
+
+
+def test_min_removal_level_bitsets_count_against_budget(monkeypatch):
+    eng = remove_fixture()
+    zero = eng.zero_bits()
+    monkeypatch.setattr(bits, "TABLE_BYTES_MAX", zero.nbytes)
+    with pytest.raises(CapacityError):
+        min_removal_set(zero, eng.vstar_size, 3)
 
 
 # ---- settle_part ------------------------------------------------------------
