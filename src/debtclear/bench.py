@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import BenchError, CapacityError, ParseError, ScriptError
 from .ledger import Ledger, QueryStats, solve_static_with_stats
-from .model import Borrowing, NodeId, Transaction, TransactionPlan
+from .model import MONEY_MAX, Borrowing, NodeId, Transaction, TransactionPlan
 
 DEFAULT_SEED = 1
 
@@ -223,6 +223,8 @@ def parse_static(text: str) -> tuple[int, list[Borrowing]]:
             raise ParseError(line_no, "loop: borrower equals lender")
         if w <= 0:
             raise ParseError(line_no, f"weight must be positive, got {w}")
+        if w > MONEY_MAX:
+            raise ParseError(line_no, f"weight {w} outside signed 64-bit range")
         arcs.append(Borrowing(b - 1, l - 1, w))
     return n, arcs
 

@@ -163,6 +163,8 @@ def test_parse_static_loop_reports_line():
         ("2 1\n1 2 x\n", 2),
         ("2 1\n1 3 5\n", 2),
         ("2 1\n1 2 0\n", 2),
+        ("2 1\n1 2 99999999999999999999\n", 2),
+        ("3 2\n1 2 5\n\n2 3 9223372036854775808\n", 4),
         ("2 2\n1 2 5\n", 2),
     ],
 )

@@ -28,9 +28,10 @@ def brute_strict_up(members: set[int], width: int) -> set[int]:
     return {m for m in range(1 << width) if any(a & m == a and a != m for a in members)}
 
 
-@pytest.mark.parametrize("width", range(10))
+@pytest.mark.parametrize("width", range(12))
 def test_strict_up_matches_brute_force(width):
-    # width < 6 pads to one word, 6 adds one word-view slot, 9 adds four
+    # width < 6 pads to one word, 7..9 add the strided slots 6..8, and 10
+    # and 11 add the word-view slots 9 and 10
     rng = np.random.default_rng(width)
     for density in (0.02, 0.2, 0.6):
         masks = np.flatnonzero(rng.random(1 << width) < density).astype(np.int64)

@@ -243,12 +243,10 @@ def test_spare_tables_are_capped(monkeypatch):
     assert sorted(engine_mod._spare) == [1, 4]
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(1, 9)), max_size=30))
-def test_reused_tables_leave_no_stale_sums(ops):
+def replay_on_junk_tables(ops):
     # every spare table is filled with junk; the engine must overwrite
     # whatever it reads
-    spare = {1 << j: np.full(1 << j, -12345, dtype=np.int64) for j in range(10)}
+    spare = {1 << j: np.full(1 << j, -12345, dtype=np.int64) for j in range(15)}
     engine_mod._spare, saved = spare, engine_mod._spare
     try:
         eng = SubsetSumEngine()
@@ -262,6 +260,20 @@ def test_reused_tables_leave_no_stale_sums(ops):
         engine_mod._spare = saved
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(1, 9)), max_size=30))
+def test_reused_tables_leave_no_stale_sums(ops):
+    replay_on_junk_tables(ops)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13), st.integers(1, 9)), max_size=30))
+def test_reused_tables_leave_no_stale_sums_in_pattern_rows(ops):
+    # 13 arcs into node 13 open all 14 slots first, so the random arcs
+    # patch tables of k >= 10, where slots 1..3 take the pattern rows
+    replay_on_junk_tables([(u, 13, u + 1) for u in range(13)] + ops)
+
+
 def test_apply_touch_count_bound():
     eng = SubsetSumEngine()
     for u in (1, 3, 5):
@@ -271,7 +283,8 @@ def test_apply_touch_count_bound():
     # both endpoints stay live and neither is fresh: two half-sweeps
     eng.apply_arc_delta(1, 2, 1)
     assert eng.last_touched_sums == 2 * 2 ** (k - 2)
-    # fresh endpoint adds the both-contained sweep, still within 3 * 2^(k-2)
+    # a fresh endpoint: the other endpoint's view, then its doubling step,
+    # still within 3 * 2^(k-2)
     eng.apply_arc_delta(7, 2, 1)
     k = eng.vstar_size
     assert eng.last_touched_sums <= 3 * 2 ** (k - 2)
@@ -287,6 +300,37 @@ def test_apply_touch_count_bound():
     assert eng.slot_of(8) == K - 1
     assert eng.last_touched_sums == 3 * 2 ** (K - 2)
     assert audit_sums(eng)
+
+
+
+@pytest.mark.parametrize("k", [10, 11, 12])
+def test_patch_counts_for_every_slot_pair(k):
+    # node i holds slot i; at k >= 10 a patch whose view would run inner
+    # loops of 2..8 entries goes through the pattern rows (at k = 10 one
+    # row is the whole table), any other through a view
+    debts = {i: 3 + i for i in range(k - 1)}
+    debts[k - 1] = -sum(debts.values())
+    q = 2 ** (k - 2)
+    for a in range(k):
+        for b in range(k):
+            if a == b:
+                continue
+            eng = SubsetSumEngine()
+            eng.rebuild_from_debts(debts)
+            eng.apply_arc_delta(a, b, 1)  # both stay live: two quarter views
+            assert eng.last_touched_sums == 2 * q and audit_sums(eng)
+            db = eng.debt(b)
+            if db > 0:
+                eng.apply_arc_delta(a, b, db)
+            else:
+                eng.apply_arc_delta(b, a, -db)
+            # b's node settles, and the top slot's node moves into its slot
+            # unless b was the top; then a's node is patched over k - 1 slots
+            assert eng.slot_of(b) is None and eng.vstar_size == k - 1
+            assert eng.last_touched_sums == q * (1 + (b != k - 1)) and audit_sums(eng)
+            eng.apply_arc_delta(k, a, 1)  # a fresh node enters the top slot
+            assert eng.slot_of(k) == k - 1
+            assert eng.last_touched_sums == 3 * q and audit_sums(eng)
 
 
 # ---- rebuild_from_debts ---------------------------------------------------
