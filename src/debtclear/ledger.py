@@ -3,8 +3,8 @@
 A ``Ledger`` owns a subset-sum engine and exposes the five update/query
 operations of the dynamic problem.  ``solve_static`` runs the same
 optimization pipeline over a one-shot batch of borrowings, differing
-from a query only in how the sums table is built (batch recurrence
-instead of per-arc patching).
+from a query only in how the sums table is built (one rewrite of the
+whole table instead of one per arc, from its lowest changed slot up).
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ class Ledger:
         return {u: self._engine.debt(u) for u in sorted(self._live)}
 
     def _check_live(self, u: NodeId) -> None:
-        if u not in self._live:
+        # True == 1 and 1.0 == 1, so only the type tells them from node 1
+        if type(u) is not int or u not in self._live:
             raise UnknownNodeError(f"node {u} is not a live node")
 
     # ---- updates ---------------------------------------------------------

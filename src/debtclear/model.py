@@ -26,6 +26,12 @@ def _check_money(amount: int) -> None:
         raise MoneyOverflowError(f"amount {amount} outside signed 64-bit range")
 
 
+def _check_node(what: str, u) -> None:
+    """Refuse a node id that is not a non-negative ``int``; a ``bool`` is not one."""
+    if type(u) is not int or u < 0:
+        raise UnknownNodeError(f"{what} node id must be a non-negative integer, got {u!r}")
+
+
 def _check_amount(what: str, amount) -> None:
     """Refuse an amount that is not a positive ``int`` within the int64 range."""
     if type(amount) is not int or amount <= 0:
@@ -43,8 +49,8 @@ class Borrowing:
     amount: Money
 
     def __post_init__(self):
-        if self.borrower < 0 or self.lender < 0:
-            raise UnknownNodeError("node ids must be non-negative")
+        _check_node("borrowing", self.borrower)
+        _check_node("borrowing", self.lender)
         if self.borrower == self.lender:
             raise LoopError(f"borrowing from node {self.borrower} to itself")
         _check_amount("borrowing", self.amount)
@@ -59,8 +65,8 @@ class Transaction:
     amount: Money
 
     def __post_init__(self):
-        if self.sender < 0 or self.receiver < 0:
-            raise UnknownNodeError("node ids must be non-negative")
+        _check_node("transaction", self.sender)
+        _check_node("transaction", self.receiver)
         if self.sender == self.receiver:
             raise LoopError(f"transaction from node {self.sender} to itself")
         _check_amount("transaction", self.amount)
@@ -117,8 +123,7 @@ def balances_of(borrowings: Iterable[Borrowing]) -> dict[NodeId, Money]:
 
 def absolute_debt(borrowings: Iterable[Borrowing], v: NodeId) -> Money:
     """Net balance of node ``v``: outgoing weight minus incoming weight."""
-    if v < 0:
-        raise UnknownNodeError(f"invalid node reference {v}")
+    _check_node("queried", v)
     return balances_of(borrowings).get(v, 0)
 
 

@@ -61,7 +61,7 @@ def test_freed_slot_is_reused():
     assert eng.node_slots() == (1, 6, 3, 5)
     eng.apply_arc_delta(3, 5, 7)  # node 5 leaves the top slot: nothing moves
     assert eng.node_slots() == (1, 6, 3)
-    assert eng.last_touched_sums == 2 ** (3 - 1)  # only node 3's half-sweep
+    assert eng.last_touched_sums == 2**3 - 2**2  # from node 3's slot 2 up
     eng.apply_arc_delta(7, 1, 1)
     assert eng.node_slots() == (1, 6, 3, 7)
     assert eng.live_mask == 0b1111
@@ -270,67 +270,80 @@ def test_reused_tables_leave_no_stale_sums(ops):
 @given(st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13), st.integers(1, 9)), max_size=30))
 def test_reused_tables_leave_no_stale_sums_in_pattern_rows(ops):
     # 13 arcs into node 13 open all 14 slots first, so the random arcs
-    # patch tables of k >= 10, where slots 1..3 take the pattern rows
+    # refresh tables of k >= 10, grown into junk spare tables
     replay_on_junk_tables([(u, 13, u + 1) for u in range(13)] + ops)
 
 
 def test_apply_touch_count_bound():
+    # one refresh from the lowest slot j0 whose balance or node changed
+    # writes 2^k - 2^j0 sums, k being the live slots after the call
     eng = SubsetSumEngine()
     for u in (1, 3, 5):
-        eng.apply_arc_delta(u, u + 1, 10)
+        eng.apply_arc_delta(u, u + 1, 10)  # node u takes slot u - 1, node u + 1 slot u
     k = eng.vstar_size
     assert k == 6
-    # both endpoints stay live and neither is fresh: two half-sweeps
-    eng.apply_arc_delta(1, 2, 1)
-    assert eng.last_touched_sums == 2 * 2 ** (k - 2)
-    # a fresh endpoint: the other endpoint's view, then its doubling step,
-    # still within 3 * 2^(k-2)
+    # both endpoints stay live, the lower in slot 2
+    eng.apply_arc_delta(3, 6, 1)
+    assert eng.last_touched_sums == 2**k - 2**2
+    # an arc between the two top slots
+    eng.apply_arc_delta(5, 6, 1)
+    assert eng.last_touched_sums == 2**k - 2 ** (k - 2)
+    # a fresh endpoint enters slot k; the other holds slot 1
     eng.apply_arc_delta(7, 2, 1)
     k = eng.vstar_size
-    assert eng.last_touched_sums <= 3 * 2 ** (k - 2)
-    # a departing endpoint hands its slot to the top slot's node, moving
-    # 2^(K-2) entries, K the larger of k before and after
-    K = eng.vstar_size
-    eng.apply_arc_delta(2, 1, 11)  # node 1 cancels: node 7 moves from slot 6 to slot 0
+    assert eng.slot_of(7) == k - 1
+    assert eng.last_touched_sums == 2**k - 2**1
+    # a departing endpoint hands slot 0 to the top slot's node
+    eng.apply_arc_delta(2, 1, 10)  # node 1 cancels: node 7 moves from slot 6 to slot 0
+    k = eng.vstar_size
     assert eng.slot_of(7) == 0
-    assert eng.last_touched_sums == 2 * 2 ** (K - 2)
-    # a move, then a fresh endpoint at the top: exactly the bound
-    K = eng.vstar_size
-    eng.apply_arc_delta(8, 7, 1)  # node 7 cancels, node 8 enters
-    assert eng.slot_of(8) == K - 1
-    assert eng.last_touched_sums == 3 * 2 ** (K - 2)
+    assert eng.last_touched_sums == 2**k - 2**0
+    # the top slot's node departs, moving nothing; the other holds slot 3
+    eng.apply_arc_delta(6, 4, 12)
+    k = eng.vstar_size
+    assert eng.node_slots() == (7, 2, 3, 4, 5)
+    assert eng.last_touched_sums == 2**k - 2**3
+    # a move into slot 2, then a fresh endpoint at the top
+    eng.apply_arc_delta(8, 3, 11)  # node 3 cancels, node 8 enters
+    k = eng.vstar_size
+    assert eng.node_slots() == (7, 2, 5, 4, 8)
+    assert eng.last_touched_sums == 2**k - 2**2
     assert audit_sums(eng)
-
+    # freeing the top block moves no node and writes nothing
+    eng.clear_block(0b11100)
+    assert eng.node_slots() == (7, 2)
+    assert eng.last_touched_sums == 0
+    assert audit_sums(eng)
 
 
 @pytest.mark.parametrize("k", [10, 11, 12])
 def test_patch_counts_for_every_slot_pair(k):
-    # node i holds slot i; at k >= 10 a patch whose view would run inner
-    # loops of 2..8 entries goes through the pattern rows (at k = 10 one
-    # row is the whole table), any other through a view
+    # node i holds slot i; for every ordered slot pair, each arc writes
+    # 2^k - 2^j0 sums, j0 the lowest slot whose balance or node changed
     debts = {i: 3 + i for i in range(k - 1)}
     debts[k - 1] = -sum(debts.values())
-    q = 2 ** (k - 2)
     for a in range(k):
         for b in range(k):
             if a == b:
                 continue
             eng = SubsetSumEngine()
             eng.rebuild_from_debts(debts)
-            eng.apply_arc_delta(a, b, 1)  # both stay live: two quarter views
-            assert eng.last_touched_sums == 2 * q and audit_sums(eng)
+            eng.apply_arc_delta(a, b, 1)  # both stay live
+            assert eng.last_touched_sums == 2**k - 2 ** min(a, b) and audit_sums(eng)
             db = eng.debt(b)
             if db > 0:
                 eng.apply_arc_delta(a, b, db)
             else:
                 eng.apply_arc_delta(b, a, -db)
             # b's node settles, and the top slot's node moves into its slot
-            # unless b was the top; then a's node is patched over k - 1 slots
+            # unless b was the top; a's node keeps slot a or, from the top,
+            # moves into slot b
             assert eng.slot_of(b) is None and eng.vstar_size == k - 1
-            assert eng.last_touched_sums == q * (1 + (b != k - 1)) and audit_sums(eng)
+            assert eng.slot_of(a) == (b if a == k - 1 else a)
+            assert eng.last_touched_sums == 2 ** (k - 1) - 2 ** min(a, b) and audit_sums(eng)
             eng.apply_arc_delta(k, a, 1)  # a fresh node enters the top slot
             assert eng.slot_of(k) == k - 1
-            assert eng.last_touched_sums == 3 * q and audit_sums(eng)
+            assert eng.last_touched_sums == 2**k - 2 ** eng.slot_of(a) and audit_sums(eng)
 
 
 # ---- rebuild_from_debts ---------------------------------------------------
@@ -380,6 +393,9 @@ def test_clear_block_of_every_slot_moves_nothing():
     eng = SubsetSumEngine()
     eng.rebuild_from_debts({1: 4, 2: -1, 3: -1, 4: -1, 5: -1})
     eng.apply_arc_delta(1, 2, 1)
+    before = engine_digest(eng)
+    eng.clear_block(0)
+    assert eng.last_touched_sums == 0 and engine_digest(eng) == before
     eng.clear_block(eng.live_mask)  # highest first: each freed slot is the top
     assert eng.last_touched_sums == 0
     assert eng.live_mask == 0 and eng.balances() == {}

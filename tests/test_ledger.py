@@ -337,6 +337,21 @@ def test_identical_histories_give_identical_plans():
     assert build().query() == build().query()
 
 
+def test_non_int_node_ids_rejected():
+    with pytest.raises(UnknownNodeError):
+        solve_static([Borrowing(0.5, 1, 3)], 2)
+    led = example_ledger()
+    before = engine_digest(led.engine)
+    for u in (True, 1.0):
+        with pytest.raises(UnknownNodeError):
+            led.insert_arc(u, 2, 3)
+        with pytest.raises(UnknownNodeError):
+            led.remove_arc(2, u)
+        with pytest.raises(UnknownNodeError):
+            led.remove_node(u)
+    assert engine_digest(led.engine) == before and led.live_nodes == set(range(6))
+
+
 def test_retired_node_rejected_everywhere():
     led = removal_ledger()
     led.remove_node(4)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,8 +31,9 @@ def test_absolute_debt_empty():
 
 
 def test_absolute_debt_rejects_invalid_reference():
-    with pytest.raises(UnknownNodeError):
-        absolute_debt(EXAMPLE1, -1)
+    for v in (-1, 0.5, True):
+        with pytest.raises(UnknownNodeError):
+            absolute_debt(EXAMPLE1, v)
 
 
 def test_balances_of_worked_example():
@@ -99,6 +101,15 @@ def test_borrowing_validation():
         Borrowing(-1, 1, 4)
     with pytest.raises(MoneyOverflowError):
         Borrowing(0, 1, 2**63)
+
+
+@pytest.mark.parametrize("cls", [Borrowing, Transaction])
+@pytest.mark.parametrize("u", [0.5, 1.0, True, False, np.int64(1), "1", None])
+def test_node_ids_must_be_non_negative_ints(cls, u):
+    with pytest.raises(UnknownNodeError):
+        cls(u, 2, 3)
+    with pytest.raises(UnknownNodeError):
+        cls(2, u, 3)
 
 
 def test_balance_overflow_detected():
