@@ -19,7 +19,7 @@ from .bench import (
     run_benchmark,
     run_script,
 )
-from .engine import DEFAULT_CAPACITY, SubsetSumEngine
+from .engine import SubsetSumEngine
 from .errors import (
     AmountError,
     BenchError,
@@ -62,7 +62,6 @@ __all__ = [
     "CapacityError",
     "CaseSpec",
     "ContractError",
-    "DEFAULT_CAPACITY",
     "DebtClearError",
     "Ledger",
     "LoopError",

@@ -20,8 +20,9 @@ from .errors import CapacityError
 
 MASK_DTYPE = np.int64
 
-# largest table any pass may allocate, in bytes: the int64 sums of all 24
-# default slots; read at call time, so a test can lower it
+# largest table any pass may allocate, in bytes: the int64 sums of 24
+# nonzero balances, so the one bound on k; read at call time, so a test
+# can lower it
 TABLE_BYTES_MAX = 8 << 24
 
 # _LOW[j] marks the in-word positions b (0..63) whose mask has slot j clear

@@ -112,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
             n, arcs = parse_static(_read(args.file))
             res = oracle_max_zero_partition(balances_of(arcs))
             _write(None, f"max_parts {res.max_parts}\nmin_transactions {res.min_transactions}\n")
-    except DebtClearError as exc:
+    except (DebtClearError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

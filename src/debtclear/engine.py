@@ -27,7 +27,6 @@ import numpy as np
 from .bits import MASK_DTYPE, bit_positions, check_table_bytes
 from .errors import (
     AmountError,
-    CapacityError,
     ContractError,
     LoopError,
     MoneyOverflowError,
@@ -36,34 +35,10 @@ from .errors import (
 from .heuristics import ZeroSetList
 from .model import MONEY_MAX, MONEY_MIN, Money, NodeId, _check_amount
 
-DEFAULT_CAPACITY = 24
-MAX_CAPACITY = 63
 
-# Tables that engines are done with, at most one per length, for the
-# next table of that length.  Engines are often short-lived and reach
-# the same width again (a static solve builds one, and so does every
-# fresh Ledger, as it grows), and a table the allocator hands out fresh
-# may fault its pages in one by one, or not, depending on whether the
-# heap was trimmed before.  Only the table of a dropped engine, or one a
-# batch rebuild replaces, is kept: a table outgrown by growth goes back
-# to the allocator, whose recently freed chunks come back cache-warm for
-# the growth of the next engine.  Lengths above SPARE_LEN_MAX (16
-# slots) are left to the allocator too, so at most twice that many int64
-# entries (1 MiB) are held back.
-SPARE_LEN_MAX = 1 << 16
-_spare: dict[int, np.ndarray] = {}
-
-
-def _take_table(n: int) -> np.ndarray:
-    """An int64 table of ``n`` entries, reused if one was let go of."""
-    table = _spare.pop(n, None)
-    return np.empty(n, dtype=MASK_DTYPE) if table is None else table
-
-
-def _release_table(table: np.ndarray) -> None:
-    """Keep a table no engine reads any more for ``_take_table``."""
-    if len(table) <= SPARE_LEN_MAX:
-        _spare.setdefault(len(table), table)
+def _new_table(n: int) -> np.ndarray:
+    """An uninitialised int64 table of ``n`` entries."""
+    return np.empty(n, dtype=MASK_DTYPE)
 
 
 def _check_range(balances: Iterable[Money]) -> None:
@@ -93,39 +68,24 @@ class SubsetSumEngine:
 
     The k nodes with a nonzero balance hold slots 0..k-1;
     ``_set_balance`` alone enters and leaves slots, and ``_refresh``
-    alone writes sums, once per mutating call.  ``capacity`` bounds how
-    many slots may ever be held at once.  The live sums are the first
-    ``2^k`` int64 entries of an allocation that grows to ``2^k`` when k
-    outgrows it and never shrinks as balances settle, so it holds ``2^w``
-    entries, w being the peak k since the last batch rebuild.  A k whose
-    live table would exceed ``bits.TABLE_BYTES_MAX`` (128 MiB, the 24
-    default slots) is refused before anything is allocated.  A table
-    replaced by a rebuild or dropped with the engine goes to the
-    module's spare tables (``_take_table``).
+    alone writes sums, once per mutating call.  The live sums are the
+    first ``2^k`` int64 entries of an allocation that grows to ``2^k``
+    when k outgrows it and never shrinks as balances settle, so it holds
+    ``2^w`` entries, w being the peak k since the last batch rebuild.
+    The table budget is the one bound on k: a k whose live table would
+    exceed ``bits.TABLE_BYTES_MAX`` (128 MiB by default, so k <= 24) is
+    refused with ``CapacityError`` before anything changes or is
+    allocated.
     """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        if not 1 <= capacity <= MAX_CAPACITY:
-            raise CapacityError(f"capacity must be in 1..{MAX_CAPACITY}, got {capacity}")
-        self._capacity = capacity
+    def __init__(self) -> None:
         self._sums = np.zeros(1, dtype=MASK_DTYPE)
         self._node_of_slot: list[NodeId] = []
         self._slot_of_node: dict[NodeId, int] = {}
         self._debts: dict[NodeId, Money] = {}
         self._touched_last = 0
 
-    def __del__(self) -> None:
-        # the table never leaves the engine (reads copy out of it), so no
-        # view of it outlives the engine
-        table = getattr(self, "_sums", None)
-        if table is not None:
-            _release_table(table)
-
     # ---- read access -------------------------------------------------
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
 
     @property
     def live_mask(self) -> int:
@@ -204,8 +164,8 @@ class SubsetSumEngine:
         gaining a nonzero balance takes slot k, and a node whose balance
         returns to zero hands its slot to the node in the top slot, which
         is dropped.  Returns the lowest slot whose balance or node changed
-        (a dropped top slot counts as its own number).  Callers check
-        capacity first.
+        (a dropped top slot counts as its own number).  Callers check the
+        table budget first.
         """
         if d == 0:
             del self._debts[u]
@@ -233,7 +193,7 @@ class SubsetSumEngine:
         """
         k = len(self._node_of_slot)
         if len(self._sums) < 1 << k:
-            sums = _take_table(1 << k)
+            sums = _new_table(1 << k)
             sums[: 1 << j0] = self._sums[: 1 << j0]
             self._sums = sums
         sums = self._sums
@@ -246,12 +206,12 @@ class SubsetSumEngine:
     def apply_arc_delta(self, u: NodeId, v: NodeId, x: Money) -> None:
         """Record that ``u`` must pay ``x`` to ``v`` and repair the sums.
 
-        ``x`` must be a positive ``int``.  Both signs of the int64 range,
-        the slot capacity and the table budget are checked on the
-        prospective balances before anything changes, so a rejected arc
-        leaves the engine as it was.  An endpoint whose balance returns to
-        zero leaves its slot first (``v`` first when both do), then the
-        others keep or enter theirs in arc order.  One ``_refresh`` from
+        ``x`` must be a positive ``int``.  Both signs of the int64 range
+        and the table budget are checked on the prospective balances
+        before anything changes, so a rejected arc leaves the engine as it
+        was.  An endpoint whose balance returns to zero leaves its slot
+        first (``v`` first when both do), then the others keep or enter
+        theirs in arc order.  One ``_refresh`` from
         the lowest slot j0 that changed then writes ``2^k - 2^j0`` sums:
         an arc between the two top slots writes ``3 * 2^(k - 2)``, and
         one whose endpoint holds slot 0 rewrites the whole table.
@@ -266,12 +226,7 @@ class SubsetSumEngine:
         new_v = dv - x
         _check_range({**self._debts, u: new_u, v: new_v}.values())
         # an endpoint that settles frees its slot before a fresh one takes it
-        k = self.vstar_size + (du == 0) + (dv == 0) - (new_u == 0) - (new_v == 0)
-        if k > self._capacity:
-            raise CapacityError(
-                f"all {self._capacity} slots in use; cannot track another nonzero balance"
-            )
-        _check_table(k)
+        _check_table(self.vstar_size + (du == 0) + (dv == 0) - (new_u == 0) - (new_v == 0))
 
         ends = [(u, new_u), (v, new_v)]
         if not new_v:
@@ -284,8 +239,8 @@ class SubsetSumEngine:
     def rebuild_from_debts(self, debts: Mapping[NodeId, Money]) -> None:
         """Reset the engine to the given balances in one batch pass.
 
-        Every balance must be an ``int``; that, the slot capacity, the
-        table budget and both signs of the int64 range are checked before
+        Every balance must be an ``int``; that, the table budget and both
+        signs of the int64 range are checked, in that order, before
         anything changes.  Nonzero-balance nodes then take slots in
         ascending node order, and ``_refresh(0)`` fills a fresh table,
         writing ``2^k - 1`` sums.
@@ -295,17 +250,11 @@ class SubsetSumEngine:
                 raise AmountError(f"balance must be an integer, got {d!r}")
         nonzero = sorted((u, d) for u, d in debts.items() if d != 0)
         k = len(nonzero)
-        if k > self._capacity:
-            raise CapacityError(
-                f"{k} nonzero balances exceed the configured {self._capacity} slots"
-            )
-        _check_range(d for _, d in nonzero)
         _check_table(k)
+        _check_range(d for _, d in nonzero)
 
-        sums = _take_table(1 << k)
-        sums[0] = 0
-        _release_table(self._sums)
-        self._sums = sums
+        self._sums = _new_table(1 << k)
+        self._sums[0] = 0
         self._node_of_slot = []
         self._slot_of_node = {}
         self._debts = {}

@@ -22,7 +22,11 @@ class MoneyOverflowError(DebtClearError):
 
 
 class CapacityError(DebtClearError):
-    """The engine ran out of slots for nodes with nonzero balance."""
+    """A table would exceed the table budget ``bits.TABLE_BYTES_MAX``.
+
+    Raised before anything is allocated; for the sums table this bounds
+    the number of nonzero-balance nodes (24 under the default budget).
+    """
 
 
 class StaleMaskError(DebtClearError):

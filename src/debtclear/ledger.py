@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .engine import DEFAULT_CAPACITY, SubsetSumEngine
+from .engine import SubsetSumEngine
 from .errors import LoopError, UnknownNodeError
 from .heuristics import clear_non_atomic, clear_pairs
 from .model import Borrowing, Money, NodeId, Transaction, TransactionPlan, balances_of
@@ -51,8 +51,8 @@ class Ledger:
     retained.  Node ids are handed out sequentially and never reused.
     """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        self._engine = SubsetSumEngine(capacity)
+    def __init__(self) -> None:
+        self._engine = SubsetSumEngine()
         self._next_id: NodeId = 0
         self._live: set[NodeId] = set()
 

@@ -1,6 +1,6 @@
 import pytest
 
-import debtclear.bench as bench
+from debtclear import bits
 from debtclear import (
     CASE_TABLE,
     BenchError,
@@ -298,7 +298,7 @@ def test_run_benchmark_per_arc_heuristic_reduction():
 
 
 def test_run_benchmark_capacity_warning(monkeypatch):
-    monkeypatch.setattr(bench, "Ledger", lambda: Ledger(capacity=2))
+    monkeypatch.setattr(bits, "TABLE_BYTES_MAX", 8 << 2)  # two slots of sums
     report = run_benchmark(
         [case_spec(4)], algorithms=("dynamic-incremental",), repetitions=1
     )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from debtclear import DEFAULT_CAPACITY, CapacityError
+from debtclear import CapacityError
 from debtclear.bits import (
     bit_positions,
     check_table_bytes,
@@ -46,6 +46,7 @@ def test_strict_up_matches_brute_force(width):
 
 
 def test_table_budget_fits_default_capacity():
-    check_table_bytes(8 << DEFAULT_CAPACITY, "table")
+    # the default budget holds the int64 sums of 24 slots and no more
+    check_table_bytes(8 << 24, "table")
     with pytest.raises(CapacityError):
-        check_table_bytes((8 << DEFAULT_CAPACITY) + 1, "table")
+        check_table_bytes((8 << 24) + 1, "table")

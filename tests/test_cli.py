@@ -34,6 +34,27 @@ def test_solve_parse_error_exit_code(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_solve_missing_file_exit_code(tmp_path, capsys):
+    assert main(["solve", str(tmp_path / "missing.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.txt" in err
+
+
+def test_solve_non_utf8_file_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe2 1\n")
+    assert main(["solve", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "utf-8" in err
+
+
+def test_gen_unwritable_out_exit_code(tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "case3.txt"
+    assert main(["gen", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no_such_dir" in err
+
+
 def test_gen_writes_parseable_instance(tmp_path, capsys):
     out = tmp_path / "case1.txt"
     assert main(["gen", "1", "--out", str(out)]) == 0

@@ -25,13 +25,6 @@ from _support import (
 )
 
 
-def replay(arcs, capacity=24):
-    eng = SubsetSumEngine(capacity)
-    for b in arcs:
-        eng.apply_arc_delta(b.borrower, b.lender, b.amount)
-    return eng
-
-
 # ---- slot allocation ---------------------------------------------------
 
 
@@ -68,32 +61,9 @@ def test_freed_slot_is_reused():
     assert audit_sums(eng)
 
 
-def test_capacity_boundary():
-    eng = SubsetSumEngine(capacity=3)
-    eng.apply_arc_delta(10, 11, 2)
-    eng.apply_arc_delta(11, 12, 1)
-    assert eng.vstar_size == 3
-    with pytest.raises(CapacityError):
-        eng.apply_arc_delta(13, 10, 1)
-
-
-def test_capacity_constructor_bounds():
-    SubsetSumEngine(capacity=63)  # max mask width; array grows lazily
-    with pytest.raises(CapacityError):
-        SubsetSumEngine(capacity=64)
-    with pytest.raises(CapacityError):
-        SubsetSumEngine(capacity=0)
-
-
-def test_wide_capacity_engine_still_exact():
-    eng = SubsetSumEngine(capacity=63)
-    for u in range(5):
-        eng.apply_arc_delta(u, u + 5, 3 + u)
-    assert audit_sums(eng)
-
-
-def test_capacity_error_leaves_state_unchanged():
-    eng = SubsetSumEngine(capacity=2)
+def test_capacity_error_leaves_state_unchanged(monkeypatch):
+    monkeypatch.setattr(bits, "TABLE_BYTES_MAX", 8 << 2)  # two slots of sums
+    eng = SubsetSumEngine()
     eng.apply_arc_delta(1, 2, 7)
     before = engine_digest(eng)
     with pytest.raises(CapacityError):
@@ -101,8 +71,9 @@ def test_capacity_error_leaves_state_unchanged():
     assert engine_digest(eng) == before
 
 
-def test_capacity_counts_an_endpoint_that_settles():
-    eng = SubsetSumEngine(capacity=2)
+def test_capacity_counts_an_endpoint_that_settles(monkeypatch):
+    monkeypatch.setattr(bits, "TABLE_BYTES_MAX", 8 << 2)  # two slots of sums
+    eng = SubsetSumEngine()
     eng.apply_arc_delta(1, 2, 5)
     eng.apply_arc_delta(3, 1, 5)  # node 1 settles as node 3 enters: still two slots
     assert eng.balances() == {2: -5, 3: 5}
@@ -198,7 +169,7 @@ def test_rebuild_rejects_non_int_balances(debts):
 
 def test_table_budget_boundary(monkeypatch):
     monkeypatch.setattr(bits, "TABLE_BYTES_MAX", 8 << 3)  # three slots of sums
-    eng = SubsetSumEngine(capacity=63)
+    eng = SubsetSumEngine()
     eng.apply_arc_delta(10, 11, 2)
     eng.apply_arc_delta(11, 12, 1)
     assert eng.node_slots() == (10, 11, 12)
@@ -219,35 +190,24 @@ def test_table_budget_boundary(monkeypatch):
     assert eng.vstar_size == 3 and audit_sums(eng)
 
 
-def test_dropped_and_replaced_tables_are_reused(monkeypatch):
-    monkeypatch.setattr(engine_mod, "_spare", {})
+def test_default_budget_refuses_a_25th_balance():
+    # refused before anything is allocated, so no 256 MiB table is built
     eng = SubsetSumEngine()
-    eng.apply_arc_delta(0, 1, 1)  # two slots: the table doubles twice
-    assert engine_mod._spare == {}  # outgrown tables go back to the allocator
-    table = eng._sums
-    del eng
-    other = SubsetSumEngine()
-    other.apply_arc_delta(5, 6, 1)  # doubles into the dropped engine's table
-    assert other._sums is table and audit_sums(other)
-    other.rebuild_from_debts({1: 1, 2: 2, 3: -3})  # 8 entries replace the 4
-    assert engine_mod._spare[4] is table and audit_sums(other)
+    eng.apply_arc_delta(1, 2, 5)
+    before = engine_digest(eng)
+    with pytest.raises(CapacityError):
+        eng.rebuild_from_debts({u: 1 for u in range(24)} | {24: -24})
+    assert engine_digest(eng) == before
 
 
-def test_spare_tables_are_capped(monkeypatch):
-    monkeypatch.setattr(engine_mod, "_spare", {})
-    monkeypatch.setattr(engine_mod, "SPARE_LEN_MAX", 4)
-    eng = SubsetSumEngine()
-    eng.rebuild_from_debts({0: 1, 1: -1})  # 4 entries replace the initial 1
-    eng.rebuild_from_debts({0: 1, 1: 2, 2: -3})  # 8 entries replace the 4
-    del eng  # its 8-entry table is over the cap
-    assert sorted(engine_mod._spare) == [1, 4]
+def junk_table(n):
+    return np.full(n, -12345, dtype=np.int64)
 
 
 def replay_on_junk_tables(ops):
-    # every spare table is filled with junk; the engine must overwrite
+    # every new table is filled with junk; the engine must overwrite
     # whatever it reads
-    spare = {1 << j: np.full(1 << j, -12345, dtype=np.int64) for j in range(15)}
-    engine_mod._spare, saved = spare, engine_mod._spare
+    engine_mod._new_table, saved = junk_table, engine_mod._new_table
     try:
         eng = SubsetSumEngine()
         for u, v, x in ops:
@@ -257,7 +217,7 @@ def replay_on_junk_tables(ops):
         eng.rebuild_from_debts(eng.balances())
         assert audit_sums(eng)
     finally:
-        engine_mod._spare = saved
+        engine_mod._new_table = saved
 
 
 @settings(max_examples=30, deadline=None)
@@ -270,7 +230,7 @@ def test_reused_tables_leave_no_stale_sums(ops):
 @given(st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13), st.integers(1, 9)), max_size=30))
 def test_reused_tables_leave_no_stale_sums_in_pattern_rows(ops):
     # 13 arcs into node 13 open all 14 slots first, so the random arcs
-    # refresh tables of k >= 10, grown into junk spare tables
+    # refresh tables of k >= 10, grown into junk tables
     replay_on_junk_tables([(u, 13, u + 1) for u in range(13)] + ops)
 
 
@@ -374,10 +334,13 @@ def test_rebuild_dense_array_values():
     assert got == [0, 2, 2, 4, -4, -2, -2, 0]
 
 
-def test_rebuild_capacity_check():
-    eng = SubsetSumEngine(capacity=2)
+def test_rebuild_capacity_check(monkeypatch):
+    monkeypatch.setattr(bits, "TABLE_BYTES_MAX", 8 << 2)  # two slots of sums
+    eng = SubsetSumEngine()
     with pytest.raises(CapacityError):
         eng.rebuild_from_debts({1: 1, 2: 1, 3: -2})
+    with pytest.raises(CapacityError):  # the budget is checked before the range
+        eng.rebuild_from_debts({1: 2**62, 2: 2**62, 3: -1})
 
 
 # ---- zero_sets / subset_sum -------------------------------------------------

@@ -64,8 +64,9 @@ def test_insert_arc_cancellation():
     assert led.engine.live_mask == 0
 
 
-def test_insert_arc_errors_are_distinct():
-    led = Ledger(capacity=2)
+def test_insert_arc_errors_are_distinct(monkeypatch):
+    monkeypatch.setattr(bits, "TABLE_BYTES_MAX", 8 << 2)  # two slots of sums
+    led = Ledger()
     a, b, c = led.insert_node(), led.insert_node(), led.insert_node()
     with pytest.raises(LoopError):
         led.insert_arc(a, a, 5)
