@@ -26,17 +26,18 @@ print("sum over {0,5}:", engine.subset_sum((1 << slot_a) | (1 << slot_b)))
 s0 = engine.zero_sets()
 print(f"\nzero-sum subsets: {len(s0)}")
 
-# reduction 1: commit disjoint zero-sum pairs outright
-ext = clear_pairs(s0)
-print(f"committed pairs: {len(ext.fixed_parts)}, list shrinks to {len(ext.reduced)}")
+# reduction 1: commit disjoint pairs of opposite balances outright
+slot_balances = [engine.debt(u) for u in engine.node_slots()]
+pairs, reduced = clear_pairs(slot_balances, s0)
+print(f"committed pairs: {len(pairs)}, list shrinks to {len(reduced)}")
 
 # reduction 2: drop sets that strictly contain another set
-atoms = clear_non_atomic(ext.reduced)
+atoms = clear_non_atomic(reduced)
 print(f"after dropping non-atomic sets: {len(atoms)}")
 
 # the dynamic program packs what remains (here: nothing left to pack)
-residual = engine.live_mask & ~ext.in_pair
-result = max_partition(residual, atoms, universe=ext.reduced)
-parts = len(ext.fixed_parts) + result.part_count
+residual = engine.live_mask - sum(pairs)
+result = max_partition(residual, atoms, universe=reduced)
+parts = len(pairs) + result.part_count
 print(f"\ntotal zero-sum groups: {parts}")
 print(f"payments needed: {engine.vstar_size} - {parts} = {engine.vstar_size - parts}")

@@ -34,7 +34,7 @@ from .errors import (
     StaleMaskError,
     UnknownNodeError,
 )
-from .heuristics import PairExtraction, ZeroSetList, clear_non_atomic, clear_pairs
+from .heuristics import clear_non_atomic, clear_pairs
 from .ledger import Ledger, QueryStats, solve_static, solve_static_with_stats
 from .model import (
     Borrowing,
@@ -71,7 +71,6 @@ __all__ = [
     "ORACLE_LIMIT",
     "OracleLimitError",
     "OracleResult",
-    "PairExtraction",
     "ParseError",
     "PartitionResult",
     "QueryStats",
@@ -82,7 +81,6 @@ __all__ = [
     "Transaction",
     "TransactionPlan",
     "UnknownNodeError",
-    "ZeroSetList",
     "absolute_debt",
     "balances_of",
     "case_spec",

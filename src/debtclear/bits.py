@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, ContractError
 
 MASK_DTYPE = np.int64
 
@@ -62,6 +62,12 @@ def check_table_bytes(nbytes: int, what: str) -> None:
         raise CapacityError(
             f"{what} would take {nbytes} bytes, over the {TABLE_BYTES_MAX}-byte table budget"
         )
+
+
+def check_masks(masks: np.ndarray) -> None:
+    """Refuse a mask array that is not strictly ascending and positive."""
+    if len(masks) and (masks[0] <= 0 or bool(np.any(masks[1:] <= masks[:-1]))):
+        raise ContractError("masks must be positive and strictly ascending")
 
 
 def pack_masks(masks: np.ndarray, width: int) -> np.ndarray:

@@ -45,17 +45,18 @@ def _parse_test_list(text: str) -> list[int]:
             continue
         lo, sep, hi = chunk.partition("-")
         try:
-            span = range(int(lo), int(hi if sep else lo) + 1)
+            first, last = int(lo), int(hi if sep else lo)
         except ValueError:
             raise DebtClearError(f"malformed test list entry {chunk!r}") from None
-        if not span:
+        # the table's ids are contiguous, so checking the ends bounds the range
+        for t in (first, last):
+            if t not in CASE_TABLE:
+                raise DebtClearError(f"unknown test id {t}")
+        if first > last:
             raise DebtClearError(f"empty test range {chunk!r}")
-        ids.extend(span)
+        ids.extend(range(first, last + 1))
     if not ids:
         raise DebtClearError("no test ids given")
-    for t in ids:
-        if t not in CASE_TABLE:
-            raise DebtClearError(f"unknown test id {t}")
     return ids
 
 

@@ -32,7 +32,6 @@ from .errors import (
     MoneyOverflowError,
     StaleMaskError,
 )
-from .heuristics import ZeroSetList
 from .model import MONEY_MAX, MONEY_MIN, Money, NodeId, _check_amount
 
 
@@ -130,14 +129,14 @@ class SubsetSumEngine:
             raise StaleMaskError(f"mask {mask:#x} is not contained in the live mask")
         return int(self._sums[mask])
 
-    def zero_sets(self) -> ZeroSetList:
+    def zero_sets(self) -> np.ndarray:
         """All nonempty subsets of the live mask with zero balance sum.
 
-        They are the positions of the zero entries of the live table,
-        ascending, except position 0: the empty set.
+        They are the positions of the zero entries of the live table, as
+        a strictly ascending ``int64`` array, without position 0: the
+        empty set, whose sum is always zero.
         """
-        hits = np.flatnonzero(self._sums[: 1 << len(self._node_of_slot)] == 0)
-        return ZeroSetList(hits[hits != 0], _trusted=True)
+        return np.flatnonzero(self._sums[: 1 << len(self._node_of_slot)] == 0)[1:]
 
     def zero_bits(self) -> np.ndarray:
         """The zero sets of ``zero_sets``, packed as in ``bits.pack_masks``.

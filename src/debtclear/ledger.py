@@ -31,14 +31,14 @@ class QueryStats:
 def _optimize(engine: SubsetSumEngine) -> tuple[TransactionPlan, QueryStats]:
     """Shared query pipeline: zero sets, both reductions, dp, settlement."""
     s0 = engine.zero_sets()
-    ext = clear_pairs(s0)
-    atoms = clear_non_atomic(ext.reduced)
-    residual = engine.live_mask & ~ext.in_pair
-    result = max_partition(residual, atoms, universe=ext.reduced)
     slots = engine.node_slots()
     debts = engine.balances()
+    pairs, reduced = clear_pairs([debts[u] for u in slots], s0)
+    atoms = clear_non_atomic(reduced)
+    # the pairs are disjoint slots of the live mask, so their sum is their union
+    result = max_partition(engine.live_mask - sum(pairs), atoms, universe=reduced)
     txns: list[Transaction] = []
-    for part in ext.fixed_parts + result.parts:
+    for part in pairs + result.parts:
         txns.extend(settle_part(part, slots, debts))
     stats = QueryStats(engine.vstar_size, len(s0), len(atoms))
     return TransactionPlan(txns), stats

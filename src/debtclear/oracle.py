@@ -14,8 +14,8 @@ from typing import Mapping
 import numpy as np
 
 from .bits import MASK_DTYPE
-from .errors import ContractError, OracleLimitError
-from .model import Money, NodeId
+from .errors import ContractError, MoneyOverflowError, OracleLimitError
+from .model import MONEY_MAX, MONEY_MIN, Money, NodeId
 
 ORACLE_LIMIT = 16
 
@@ -38,7 +38,10 @@ def oracle_max_zero_partition(debts: Mapping[NodeId, Money]) -> OracleResult:
 
     Guarded to at most ``ORACLE_LIMIT`` nonzero balances; the search is
     exponential (all submasks of all masks) and is meant for validating
-    the fast path on small instances, not for production use.
+    the fast path on small instances, not for production use.  Raises
+    ``MoneyOverflowError`` when the positive or the negative balances
+    total outside the int64 range, where the table of subset sums would
+    wrap.
     """
     nonzero = sorted((u, d) for u, d in debts.items() if d != 0)
     k = len(nonzero)
@@ -48,6 +51,11 @@ def oracle_max_zero_partition(debts: Mapping[NodeId, Money]) -> OracleResult:
         )
     if k == 0:
         return OracleResult(0, 0, [])
+    # every subset sum lies between the two totals, summed here as Python ints
+    pos = sum(d for _, d in nonzero if d > 0)
+    neg = sum(d for _, d in nonzero if d < 0)
+    if pos > MONEY_MAX or neg < MONEY_MIN:
+        raise MoneyOverflowError("balances would exceed the signed 64-bit range")
     if sum(d for _, d in nonzero) != 0:
         raise ContractError("balances do not sum to zero; no partition exists")
 

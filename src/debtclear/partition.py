@@ -7,12 +7,12 @@ payments, so every extra group saves one payment.  Write h(S) for the
 most disjoint zero sets a zero set S splits into.
 
 ``max_partition`` (the query path) is one dynamic program over slot
-masks, driven by two zero-set lists:
+masks, driven by two zero-set arrays, each strictly ascending:
 
-* ``universe`` lists every zero-sum subset of ``live`` (members outside
+* ``universe`` holds every zero-sum subset of ``live`` (members outside
   ``live`` are ignored); the table has one row per such set plus the
   empty mask, and
-* ``s0`` is any sublist of ``universe`` that contains every atom, i.e.
+* ``s0`` is any subarray of ``universe`` that contains every atom, i.e.
   every inclusion-minimal zero-sum set; it supplies the candidate parts.
 
 ``dp[t]`` is h(t), and each row records the numerically smallest part
@@ -40,6 +40,7 @@ import numpy as np
 from .bits import (
     MASK_DTYPE,
     bit_positions,
+    check_masks,
     check_table_bytes,
     packed_member,
     popcount_array,
@@ -47,7 +48,6 @@ from .bits import (
     unpack_masks,
 )
 from .errors import ContractError
-from .heuristics import ZeroSetList
 from .model import Money, NodeId, Transaction
 
 
@@ -60,24 +60,23 @@ class PartitionResult:
 
 
 def _solve_dp(
-    live: int, s0: ZeroSetList, universe: ZeroSetList
+    live: int, s0: np.ndarray, universe: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Build the dp/choice tables over 0 and the zero sets inside ``live``.
 
     Rows are the ascending masks of ``universe`` contained in ``live``;
     row t draws its candidate parts from the members of ``s0`` inside t.
     """
-    s0m = s0.masks
-    if bool(np.any((s0m & MASK_DTYPE(live)) != s0m)):
+    if bool(np.any((s0 & MASK_DTYPE(live)) != s0)):
         raise ContractError("zero-set candidates must be subsets of the live mask")
-    um = universe.masks
-    masks = np.concatenate([np.zeros(1, dtype=MASK_DTYPE), um[(um & MASK_DTYPE(live)) == um]])
+    inside = universe[(universe & MASK_DTYPE(live)) == universe]
+    masks = np.concatenate([np.zeros(1, dtype=MASK_DTYPE), inside])
     dp = np.full(len(masks), -1, dtype=np.int64)
     dp[0] = 0
     choice = np.zeros(len(masks), dtype=MASK_DTYPE)
     for i in range(1, len(masks)):
         t = masks[i]
-        subs = s0m[(s0m & t) == s0m]
+        subs = s0[(s0 & t) == s0]
         if not len(subs):
             continue
         preds = subs ^ t
@@ -98,16 +97,19 @@ def _find(masks: np.ndarray, mask: int) -> int:
     return i
 
 
-def max_partition(live: int, s0: ZeroSetList, universe: ZeroSetList) -> PartitionResult:
+def max_partition(live: int, s0: np.ndarray, universe: np.ndarray) -> PartitionResult:
     """Partition ``live`` into the maximum number of zero-sum parts.
 
-    ``universe`` lists every zero-sum subset of ``live`` and ``s0`` is a
-    sublist of it holding every atom (see the module docstring).  Ties
+    ``universe`` holds every zero-sum subset of ``live`` and ``s0`` is a
+    subarray of it holding every atom (see the module docstring).  Ties
     between equally good parts are broken toward the numerically
     smallest mask, so the reconstructed parts are deterministic.  Raises
-    ``ContractError`` when ``live`` cannot be covered (nonzero total, or
-    a zero set or atom withheld).
+    ``ContractError`` unless both arrays are strictly ascending and
+    positive, and when ``live`` cannot be covered (nonzero total, or a
+    zero set or atom withheld).
     """
+    check_masks(s0)
+    check_masks(universe)
     if live == 0:
         return PartitionResult([], 0)
     masks, dp, choice = _solve_dp(live, s0, universe)
@@ -176,8 +178,8 @@ def settle_part(
     least one of them.  Emits at most one payment fewer than the group
     size, exactly that many when the group has no zero-sum proper subset.
     """
-    if part == 0:
-        raise ContractError("cannot settle an empty part")
+    if part <= 0:
+        raise ContractError(f"cannot settle the part {part}: not a nonempty mask")
     members: list[tuple[NodeId, Money]] = []
     for slot in bit_positions(part):
         if slot >= len(node_of_slot):

@@ -58,6 +58,11 @@ def brute_zero_node_sets(debts: dict[int, int]) -> set[frozenset[int]]:
     return out
 
 
+def slot_balances(engine: SubsetSumEngine) -> list[int]:
+    """Balance of each slot, in slot order: what ``clear_pairs`` reads."""
+    return [engine.debt(u) for u in engine.node_slots()]
+
+
 def nodes_of_mask(engine: SubsetSumEngine, mask: int) -> frozenset[int]:
     slots = engine.node_slots()
     return frozenset(slots[i] for i in bit_positions(mask))

@@ -20,7 +20,7 @@ from debtclear import (
 )
 from debtclear.engine import SubsetSumEngine
 
-from _support import EXAMPLE1, audit_sums, engine_digest, random_instance
+from _support import EXAMPLE1, audit_sums, engine_digest, random_instance, slot_balances
 
 
 @contextmanager
@@ -99,13 +99,13 @@ def test_criterion_5_heuristic_safety():
             s0 = eng.zero_sets()
             plain = max_partition(live, s0, universe=s0).part_count
             atoms_only = max_partition(live, clear_non_atomic(s0), universe=s0).part_count
-            ext = clear_pairs(s0)
+            pairs, reduced = clear_pairs(slot_balances(eng), s0)
             both = (
-                len(ext.fixed_parts)
+                len(pairs)
                 + max_partition(
-                    live & ~ext.in_pair,
-                    clear_non_atomic(ext.reduced),
-                    universe=ext.reduced,
+                    live - sum(pairs),
+                    clear_non_atomic(reduced),
+                    universe=reduced,
                 ).part_count
             )
             assert plain == atoms_only == both, f"seed {seed}"

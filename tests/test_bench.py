@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from debtclear import bits
@@ -24,6 +26,7 @@ from debtclear import (
 from _support import EXAMPLE1
 
 EXAMPLE1_TEXT = "5 5\n1 2 10\n2 3 5\n3 1 5\n1 4 5\n4 5 10\n"
+BENCH_COUNTS_GOLDEN = Path(__file__).parent / "golden" / "bench_counts.txt"
 
 
 # ---- PRNG ----------------------------------------------------------------
@@ -304,6 +307,30 @@ def test_run_benchmark_capacity_warning(monkeypatch):
     )
     assert report.rows == []
     assert len(report.warnings) == 1 and "test 4" in report.warnings[0]
+
+
+def test_bench_counts_golden():
+    """Every CSV column but ``avg_seconds`` matches the recorded file.
+
+    Cases 5 and 13, the slowest, have no zero-sum pair and are left out;
+    ``test_acceptance`` pins their plan sizes.
+    """
+    runs = (
+        ("once", [1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 14, 15]),
+        ("per-arc", [1, 2, 3, 4, 6, 7, 8, 9, 10]),
+    )
+    rows = []
+    for mode, ids in runs:
+        header, *lines = run_benchmark(
+            [case_spec(t) for t in ids], repetitions=1, mode=mode
+        ).to_csv().splitlines()
+        rows += lines
+    got = ""
+    for line in [header, *rows]:
+        cols = line.split(",")
+        del cols[4]  # avg_seconds
+        got += ",".join(cols) + "\n"
+    assert got == BENCH_COUNTS_GOLDEN.read_text()
 
 
 def test_csv_header_and_shape():

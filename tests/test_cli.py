@@ -93,6 +93,15 @@ def test_oracle_command(example_file, capsys):
     assert capsys.readouterr().out == "max_parts 2\nmin_transactions 2\n"
 
 
+def test_oracle_refuses_totals_outside_int64(tmp_path, capsys):
+    big = 2**63 - 1
+    path = tmp_path / "wrap.txt"
+    path.write_text(f"5 4\n1 4 {big}\n2 5 {big}\n3 4 1\n3 5 1\n")
+    assert main(["oracle", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_run_command(tmp_path, capsys):
     script = tmp_path / "ops.txt"
     script.write_text("NODE a\nNODE b\nARC a b 3\nQUERY\n")
@@ -123,6 +132,11 @@ def test_bench_test_range_parsing(capsys):
 
 def test_bench_unknown_test(capsys):
     assert main(["bench", "--tests", "42"]) == 2
+    assert "unknown test id" in capsys.readouterr().err
+
+
+def test_bench_huge_range_refused_before_expansion(capsys):
+    assert main(["bench", "--tests", "1-1000000000000"]) == 2
     assert "unknown test id" in capsys.readouterr().err
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,74 +6,117 @@ from hypothesis import strategies as st
 from debtclear import (
     CapacityError,
     ContractError,
-    ZeroSetList,
     clear_non_atomic,
     clear_pairs,
     max_partition,
 )
 
-from _support import random_instance
+from _support import EXAMPLE1_BALANCES, random_instance, slot_balances
 
 from debtclear import balances_of, bits
 from debtclear.engine import SubsetSumEngine
 
 
 def zsl(*masks):
-    return ZeroSetList(masks)
+    """The masks as a zero-set array: ascending, without duplicates."""
+    return np.unique(np.array(masks, dtype=np.int64))
 
 
-# ---- ZeroSetList -------------------------------------------------------
+def union(masks):
+    out = 0
+    for m in masks:
+        out |= int(m)
+    return out
 
 
-def test_zero_set_list_sorts_and_dedupes():
-    s = ZeroSetList([9, 6, 9, 15])
-    assert list(s) == [6, 9, 15]
-    assert 9 in s and 7 not in s
+def table_of(balances):
+    """An engine whose slot j holds ``balances[j]`` (all nonzero)."""
+    engine = SubsetSumEngine()
+    engine.rebuild_from_debts(dict(enumerate(balances)))
+    assert slot_balances(engine) == list(balances)
+    return engine
 
 
-def test_zero_set_list_rejects_empty_mask():
-    with pytest.raises(ContractError):
-        ZeroSetList([0, 3])
+def pairs_of(*balances):
+    """``clear_pairs`` on slot balances and the zero sets of their table."""
+    return clear_pairs(list(balances), table_of(balances).zero_sets())
+
+
+# ---- the zero-set array check ------------------------------------------------
+
+BAD_ARRAYS = {"unsorted": [5, 3], "duplicate": [3, 3], "zero": [0, 3], "negative": [-3, 3]}
+
+
+@pytest.mark.parametrize("masks", BAD_ARRAYS.values(), ids=BAD_ARRAYS.keys())
+def test_zero_set_arrays_are_checked(masks):
+    bad, good = np.array(masks, dtype=np.int64), zsl(3)
+    assert max_partition(0b11, good, good).parts == [3]
+    with pytest.raises(ContractError, match="strictly ascending"):
+        clear_non_atomic(bad)
+    with pytest.raises(ContractError, match="strictly ascending"):
+        max_partition(0b11, bad, good)
+    with pytest.raises(ContractError, match="strictly ascending"):
+        max_partition(0b11, good, bad)
 
 
 # ---- clear_pairs ----------------------------------------------------------
 
 
 def test_clear_pairs_worked_example():
-    # zero sets of the worked example in slot space: {2,4}=6, {1,5}=9, all=15
-    ext = clear_pairs(zsl(6, 9, 15))
-    assert ext.fixed_parts == [6, 9]
-    assert ext.in_pair == 15
-    assert len(ext.reduced) == 0
+    # slots hold nodes 1, 2, 4, 5: zero sets {2,4}=6, {1,5}=9, all=15
+    d = EXAMPLE1_BALANCES
+    pairs, reduced = pairs_of(d[1], d[2], d[4], d[5])
+    assert pairs == [6, 9]
+    assert union(pairs) == 15
+    assert len(reduced) == 0
 
 
 def test_clear_pairs_overlapping_pairs():
-    # pairwise-overlapping pairs on three slots: only the first commits
-    ext = clear_pairs(zsl(0b011, 0b101, 0b110))
-    assert ext.fixed_parts == [0b011]
-    assert ext.in_pair == 0b011
-    assert len(ext.reduced) == 0  # both other sets touch the committed pair
+    # two pairs share slot 0: only the first commits
+    pairs, reduced = pairs_of(1, -1, -1)
+    assert pairs == [0b011]
+    assert union(pairs) == 0b011
+    assert len(reduced) == 0  # the other set touches the committed pair
 
 
 def test_clear_pairs_empty():
-    ext = clear_pairs(zsl())
-    assert ext.fixed_parts == [] and ext.in_pair == 0 and len(ext.reduced) == 0
+    pairs, reduced = pairs_of()
+    assert pairs == [] and union(pairs) == 0 and len(reduced) == 0
 
 
 def test_clear_pairs_only_committed_pairs_poison():
     # two disjoint pairs exist among four overlapping ones; both must commit,
     # otherwise the leftover slots could not be covered at all
-    s0 = zsl(0b0011, 0b0110, 0b1001, 0b1100, 0b1111)
-    ext = clear_pairs(s0)
-    assert ext.fixed_parts == [0b0011, 0b1100]
-    assert ext.in_pair == 0b1111
+    pairs, reduced = pairs_of(1, -1, 1, -1)
+    assert pairs == [0b0011, 0b1100]
+    assert union(pairs) == 0b1111
 
 
 def test_clear_pairs_keeps_disjoint_sets():
-    s0 = zsl(0b000011, 0b111100)
-    ext = clear_pairs(s0)
-    assert ext.fixed_parts == [0b000011]
-    assert list(ext.reduced) == [0b111100]
+    # zero sets {0,1}, {2,3,4,5} and all six slots
+    pairs, reduced = pairs_of(1, -1, 2, 3, 4, -9)
+    assert pairs == [0b000011]
+    assert list(reduced) == [0b111100]
+
+
+def reference_pairs(zero_sets):
+    """The ascending scan of the two-element zero sets, kept as a reference."""
+    in_pair, pairs = 0, []
+    for m in zero_sets.tolist():
+        if m.bit_count() == 2 and m & in_pair == 0:
+            pairs.append(m)
+            in_pair |= m
+    return pairs, zero_sets[(zero_sets & in_pair) == 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), max_size=12))
+def test_clear_pairs_matches_two_bit_scan(balances):
+    zero = table_of(balances).zero_sets()
+    pairs, reduced = clear_pairs(balances, zero)
+    want_pairs, want_reduced = reference_pairs(zero)
+    assert pairs == want_pairs
+    assert np.array_equal(reduced, want_reduced)
 
 
 # ---- clear_non_atomic --------------------------------------------------------
@@ -110,7 +154,7 @@ def inclusion_minimal(masks):
 @given(st.integers(1, 12).flatmap(lambda w: st.lists(st.integers(1, (1 << w) - 1), max_size=40)))
 def test_clear_non_atomic_matches_brute_force(masks):
     # widths up to 6 stay inside one packed word; wider ones add word views
-    s0 = ZeroSetList(masks)
+    s0 = zsl(*masks)
     assert list(clear_non_atomic(s0)) == inclusion_minimal(list(s0))
 
 
@@ -129,8 +173,10 @@ def test_clear_non_atomic_refuses_wide_bitset(monkeypatch):
 def test_heuristics_never_add_sets():
     s0 = zsl(0b011, 0b101, 0b1111)
     assert set(clear_non_atomic(s0)) <= set(s0)
-    ext = clear_pairs(s0)
-    assert set(ext.reduced) <= set(s0)
+    balances = [1, -1, 2, 3, -5]
+    s0 = table_of(balances).zero_sets()
+    pairs, reduced = clear_pairs(balances, s0)
+    assert set(reduced) <= set(s0)
 
 
 # ---- joint safety ---------------------------------------------------------------
@@ -148,12 +194,9 @@ def part_count_variants(engine):
     assert plain.parts == atomic.parts
     a = plain.part_count
     b = atomic.part_count
-    ext = clear_pairs(s0)
-    atoms = clear_non_atomic(ext.reduced)
-    c = (
-        len(ext.fixed_parts)
-        + max_partition(live & ~ext.in_pair, atoms, universe=ext.reduced).part_count
-    )
+    pairs, reduced = clear_pairs(slot_balances(engine), s0)
+    atoms = clear_non_atomic(reduced)
+    c = len(pairs) + max_partition(live - sum(pairs), atoms, universe=reduced).part_count
     return a, b, c
 
 
@@ -171,13 +214,15 @@ def test_committed_pairs_are_disjoint_zero_pairs(seed):
     n, arcs = random_instance(seed, max_n=10, max_m=20, max_w=4)
     engine = SubsetSumEngine()
     engine.rebuild_from_debts(balances_of(arcs))
-    ext = clear_pairs(engine.zero_sets())
-    union = 0
-    for pair in ext.fixed_parts:
+    zero = engine.zero_sets()
+    pairs, reduced = clear_pairs(slot_balances(engine), zero)
+    covered = 0
+    for pair in pairs:
         assert pair.bit_count() == 2
         assert engine.subset_sum(pair) == 0
-        assert union & pair == 0
-        union |= pair
-    assert union == ext.in_pair
-    for survivor in ext.reduced:
-        assert survivor & ext.in_pair == 0
+        assert covered & pair == 0
+        covered |= pair
+    assert set(pairs) <= set(zero.tolist())
+    for survivor in reduced:
+        assert survivor & covered == 0
+    assert list(reduced) == [m for m in zero if m & covered == 0]

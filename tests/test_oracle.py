@@ -2,12 +2,14 @@ import pytest
 
 from debtclear import (
     ContractError,
+    MoneyOverflowError,
     OracleLimitError,
     balances_of,
     oracle_max_zero_partition,
     solve_static,
 )
 from debtclear.bits import bit_positions
+from debtclear.model import MONEY_MAX
 
 from _support import EXAMPLE1, EXAMPLE1_BALANCES, random_instance
 
@@ -34,6 +36,16 @@ def test_oracle_size_guard():
     debts[99] = -17
     with pytest.raises(OracleLimitError):
         oracle_max_zero_partition(debts)
+
+
+def test_oracle_refuses_totals_outside_int64():
+    # only the full set sums to zero, but int64 totals would wrap 2^64 to 0
+    # and show {1,2,3} and {4,5} as zero sets too
+    m = MONEY_MAX
+    with pytest.raises(MoneyOverflowError):
+        oracle_max_zero_partition({1: m, 2: m, 3: 2, 4: -m - 1, 5: -m - 1})
+    res = oracle_max_zero_partition({1: m - 1, 2: 1, 3: -m})  # totals at the edge
+    assert res.max_parts == 1 and res.min_transactions == 2
 
 
 def test_oracle_rejects_unbalanced_input():

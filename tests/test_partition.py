@@ -1,5 +1,6 @@
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,6 @@ from debtclear import (
     CapacityError,
     ContractError,
     Transaction,
-    ZeroSetList,
     balances_of,
     clear_non_atomic,
     max_partition,
@@ -23,7 +23,7 @@ from _support import random_instance
 
 
 def zsl(*masks):
-    return ZeroSetList(masks)
+    return np.array(masks, dtype=np.int64)
 
 
 # ---- max_partition -----------------------------------------------------
@@ -127,7 +127,7 @@ def test_min_removal_satisfies_dp_identity():
             assert p & (1 << slot)
             assert eng.subset_sum(p) == 0
             rest = live ^ p
-            rest_s0 = ZeroSetList([m for m in s0 if m & p == 0])
+            rest_s0 = s0[(s0 & p) == 0]
             rest_count = max_partition(rest, rest_s0, rest_s0).part_count if rest else 0
             assert full == rest_count + 1
 
@@ -217,6 +217,12 @@ def test_settle_rejects_unbalanced_part():
 def test_settle_rejects_empty_part():
     with pytest.raises(ContractError):
         settle_part(0, (), {})
+
+
+def test_settle_rejects_negative_part():
+    # a negative int has endless set bits: refused, not looped over
+    with pytest.raises(ContractError):
+        settle_part(-1, (0, 1), {0: 1, 1: -1})
 
 
 def test_settlement_zeroes_every_member_and_counts():
