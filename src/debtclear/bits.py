@@ -18,11 +18,13 @@ import numpy as np
 
 from .errors import CapacityError, ContractError
 
+# the dtype of slot masks (never of money: the sums table picks its own width)
 MASK_DTYPE = np.int64
 
-# largest table any pass may allocate, in bytes: the int64 sums of 24
-# nonzero balances, so the one bound on k; read at call time, so a test
-# can lower it
+# largest table any pass may allocate, in bytes: the sums of 24 nonzero
+# balances counted at the widest (int64) entry, whatever width the engine
+# holds them in, so the one bound on k; read at call time, so a test can
+# lower it
 TABLE_BYTES_MAX = 8 << 24
 
 # _LOW[j] marks the in-word positions b (0..63) whose mask has slot j clear

@@ -16,6 +16,13 @@ doubling step ``sums[2^j : 2^(j+1)] = sums[:2^j] + d_j``, run for
 j = j0..k-1, makes the table exact again.  It writes ``2^k - 2^j0``
 entries, each step one contiguous pass; a batch rebuild is the same run
 from j0 = 0.
+
+The refresh is bound by memory bandwidth, so the array is held in the
+narrowest of int16, int32 and int64 whose range holds both the positive
+and the negative total of the balances (``_check_range``).  Every subset
+sum lies between those totals, so no entry can wrap.  The balances are
+added as Python ints, which numpy 2's weak scalars (NEP 50) take at the
+array's width; each balance lies in that width's range.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .bits import MASK_DTYPE, bit_positions, check_table_bytes
+from .bits import bit_positions, check_table_bytes
 from .errors import (
     AmountError,
     ContractError,
@@ -32,20 +39,29 @@ from .errors import (
     MoneyOverflowError,
     StaleMaskError,
 )
-from .model import MONEY_MAX, MONEY_MIN, Money, NodeId, _check_amount
+from .model import Money, NodeId, _check_amount
+
+# the table widths, narrowest first, each with its range as Python ints:
+# the range check runs on every arc and makes no numpy call
+_WIDTHS = tuple(
+    (np.dtype(t), int(np.iinfo(t).min), int(np.iinfo(t).max))
+    for t in (np.int16, np.int32, np.int64)
+)
 
 
-def _new_table(n: int) -> np.ndarray:
-    """An uninitialised int64 table of ``n`` entries."""
-    return np.empty(n, dtype=MASK_DTYPE)
+def _new_table(n: int, dtype: np.dtype) -> np.ndarray:
+    """An uninitialised table of ``n`` entries of ``dtype``."""
+    return np.empty(n, dtype=dtype)
 
 
-def _check_range(balances: Iterable[Money]) -> None:
-    """Refuse balances whose positive or negative total leaves the int64 range.
+def _check_range(balances: Iterable[Money]) -> np.dtype:
+    """The narrowest table width that holds both totals of the balances.
 
-    Every subset sum lies between the two totals, so this bounds the
-    whole table.  The balances must be ``int``s: a numpy scalar would
-    wrap while being summed.
+    Every subset sum lies between the negative and the positive total,
+    so a table of that width holds every entry.  Balances whose total
+    leaves the int64 range, the money range, are refused with
+    ``MoneyOverflowError``.  The balances must be ``int``s: a numpy
+    scalar would wrap while being summed.
     """
     pos = neg = 0
     for d in balances:
@@ -53,12 +69,20 @@ def _check_range(balances: Iterable[Money]) -> None:
             pos += d
         else:
             neg += d
-    if pos > MONEY_MAX or neg < MONEY_MIN:
-        raise MoneyOverflowError("balances would exceed the signed 64-bit range")
+    for dtype, lo, hi in _WIDTHS:
+        if lo <= neg and pos <= hi:
+            return dtype
+    raise MoneyOverflowError("balances would exceed the signed 64-bit range")
 
 
 def _check_table(k: int) -> None:
-    """Refuse a live table of ``2^k`` int64 sums over the table budget."""
+    """Refuse a live table of ``2^k`` sums over the table budget.
+
+    Entries are counted at 8 bytes, the int64 width, whatever the width
+    the balances need: so the admitted k does not depend on the
+    balances, and an arc that widens the table is never refused by the
+    budget.
+    """
     check_table_bytes(8 << k, "the sums table")
 
 
@@ -68,17 +92,21 @@ class SubsetSumEngine:
     The k nodes with a nonzero balance hold slots 0..k-1;
     ``_set_balance`` alone enters and leaves slots, and ``_refresh``
     alone writes sums, once per mutating call.  The live sums are the
-    first ``2^k`` int64 entries of an allocation that grows to ``2^k``
-    when k outgrows it and never shrinks as balances settle, so it holds
-    ``2^w`` entries, w being the peak k since the last batch rebuild.
-    The table budget is the one bound on k: a k whose live table would
-    exceed ``bits.TABLE_BYTES_MAX`` (128 MiB by default, so k <= 24) is
-    refused with ``CapacityError`` before anything changes or is
-    allocated.
+    first ``2^k`` entries of an allocation that grows to ``2^k`` when k
+    outgrows it and never shrinks as balances settle, so it holds ``2^w``
+    entries, w being the peak k since the table was last replaced.  Its
+    entries are int16, int32 or int64, the narrowest width whose range
+    holds both totals of the balances.  An arc whose totals outgrow the
+    width replaces the table with a wider one, rewritten whole; only a
+    batch rebuild replaces it with a narrower one.  The table budget is
+    the one bound on k: a k whose live table would exceed
+    ``bits.TABLE_BYTES_MAX`` (128 MiB by default, so k <= 24), counting 8
+    bytes per entry, is refused with ``CapacityError`` before anything
+    changes or is allocated.
     """
 
     def __init__(self) -> None:
-        self._sums = np.zeros(1, dtype=MASK_DTYPE)
+        self._sums = np.zeros(1, dtype=_WIDTHS[0][0])
         self._node_of_slot: list[NodeId] = []
         self._slot_of_node: dict[NodeId, int] = {}
         self._debts: dict[NodeId, Money] = {}
@@ -181,18 +209,23 @@ class SubsetSumEngine:
             self._node_of_slot.append(u)
         return s
 
-    def _refresh(self, j0: int) -> int:
+    def _refresh(self, j0: int, dtype: np.dtype) -> int:
         """Rewrite the live sums of every mask that holds a slot j0 or above.
 
         Runs the doubling step ``sums[2^j : 2^(j+1)] = sums[:2^j] + d_j``
         for j = j0..k-1; the entries below ``2^j0`` must already be exact.
-        A table shorter than ``2^k`` is first replaced by one of ``2^k``
-        entries that takes over only that prefix.  Returns the entries
-        written, ``2^k - 2^j0``.
+        ``dtype`` is the width the balances need: when it is wider than
+        the table's, the refresh runs from j0 = 0 into a wider table.  A
+        table shorter than ``2^k`` is first replaced by one of ``2^k``
+        entries, of the same width, that takes over only that prefix.
+        Returns the entries written, ``2^k - 2^j0``.
         """
+        if dtype.itemsize > self._sums.itemsize:
+            # only the empty set's sum, 0, is kept
+            self._sums, j0 = self._sums[:1].astype(dtype), 0
         k = len(self._node_of_slot)
         if len(self._sums) < 1 << k:
-            sums = _new_table(1 << k)
+            sums = _new_table(1 << k, self._sums.dtype)
             sums[: 1 << j0] = self._sums[: 1 << j0]
             self._sums = sums
         sums = self._sums
@@ -207,13 +240,15 @@ class SubsetSumEngine:
 
         ``x`` must be a positive ``int``.  Both signs of the int64 range
         and the table budget are checked on the prospective balances
-        before anything changes, so a rejected arc leaves the engine as it
-        was.  An endpoint whose balance returns to zero leaves its slot
-        first (``v`` first when both do), then the others keep or enter
-        theirs in arc order.  One ``_refresh`` from
-        the lowest slot j0 that changed then writes ``2^k - 2^j0`` sums:
-        an arc between the two top slots writes ``3 * 2^(k - 2)``, and
-        one whose endpoint holds slot 0 rewrites the whole table.
+        before anything changes, so a rejected arc leaves the engine, and
+        its table's width, as they were.  An endpoint whose balance
+        returns to zero leaves its slot first (``v`` first when both do),
+        then the others keep or enter theirs in arc order.  One
+        ``_refresh`` from the lowest slot j0 that changed then writes
+        ``2^k - 2^j0`` sums: an arc between the two top slots writes
+        ``3 * 2^(k - 2)``, and one whose endpoint holds slot 0 rewrites
+        the whole table, as does one whose totals outgrow the table's
+        width.
         """
         if u == v:
             raise LoopError(f"arc from node {u} to itself")
@@ -223,7 +258,7 @@ class SubsetSumEngine:
         dv = self._debts.get(v, 0)
         new_u = du + x
         new_v = dv - x
-        _check_range({**self._debts, u: new_u, v: new_v}.values())
+        dtype = _check_range({**self._debts, u: new_u, v: new_v}.values())
         # an endpoint that settles frees its slot before a fresh one takes it
         _check_table(self.vstar_size + (du == 0) + (dv == 0) - (new_u == 0) - (new_v == 0))
 
@@ -231,7 +266,7 @@ class SubsetSumEngine:
         if not new_v:
             ends.reverse()
         ends.sort(key=lambda end: end[1] != 0)  # departures first, stably
-        self._touched_last = self._refresh(min(self._set_balance(w, d) for w, d in ends))
+        self._touched_last = self._refresh(min(self._set_balance(w, d) for w, d in ends), dtype)
 
     # ---- batch construction ---------------------------------------------
 
@@ -241,8 +276,9 @@ class SubsetSumEngine:
         Every balance must be an ``int``; that, the table budget and both
         signs of the int64 range are checked, in that order, before
         anything changes.  Nonzero-balance nodes then take slots in
-        ascending node order, and ``_refresh(0)`` fills a fresh table,
-        writing ``2^k - 1`` sums.
+        ascending node order, and ``_refresh(0)`` fills a fresh table in
+        the narrowest width the balances need, writing ``2^k - 1`` sums.
+        This is the one call that narrows the table.
         """
         for d in debts.values():
             if type(d) is not int:
@@ -250,16 +286,15 @@ class SubsetSumEngine:
         nonzero = sorted((u, d) for u, d in debts.items() if d != 0)
         k = len(nonzero)
         _check_table(k)
-        _check_range(d for _, d in nonzero)
+        dtype = _check_range(d for _, d in nonzero)
 
-        self._sums = _new_table(1 << k)
-        self._sums[0] = 0
+        self._sums = np.zeros(1, dtype=dtype)
         self._node_of_slot = []
         self._slot_of_node = {}
         self._debts = {}
         for u, d in nonzero:
             self._set_balance(u, d)
-        self._touched_last = self._refresh(0)
+        self._touched_last = self._refresh(0, dtype)
 
     # ---- block removal ---------------------------------------------------
 
@@ -276,4 +311,4 @@ class SubsetSumEngine:
         if mask & ~self.live_mask:
             raise ContractError(f"mask {mask:#x} is not contained in the live mask")
         freed = [self._set_balance(self._node_of_slot[s], 0) for s in reversed(bit_positions(mask))]
-        self._touched_last = self._refresh(min(freed, default=self.vstar_size))
+        self._touched_last = self._refresh(min(freed, default=self.vstar_size), self._sums.dtype)

@@ -13,7 +13,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .bits import MASK_DTYPE
 from .errors import ContractError, MoneyOverflowError, OracleLimitError
 from .model import MONEY_MAX, MONEY_MIN, Money, NodeId
 
@@ -59,9 +58,9 @@ def oracle_max_zero_partition(debts: Mapping[NodeId, Money]) -> OracleResult:
     if sum(d for _, d in nonzero) != 0:
         raise ContractError("balances do not sum to zero; no partition exists")
 
-    vals = np.array([d for _, d in nonzero], dtype=MASK_DTYPE)
+    vals = np.array([d for _, d in nonzero], dtype=np.int64)
     size = 1 << k
-    totals = np.zeros(size, dtype=MASK_DTYPE)
+    totals = np.zeros(size, dtype=np.int64)
     for j in range(k):
         half = totals.reshape(-1, 2 << j)
         half[:, (1 << j):] += vals[j]

@@ -40,7 +40,7 @@ def audit_sums(engine: SubsetSumEngine) -> bool:
     stay cheap enough to run after every operation.
     """
     subs = live_submasks(engine)
-    expect = np.zeros(len(subs), dtype=MASK_DTYPE)
+    expect = np.zeros(len(subs), dtype=np.int64)
     for u, d in engine.balances().items():
         bit = 1 << engine.slot_of(u)
         expect[(subs & MASK_DTYPE(bit)) != 0] += d

@@ -200,8 +200,93 @@ def test_default_budget_refuses_a_25th_balance():
     assert engine_digest(eng) == before
 
 
-def junk_table(n):
-    return np.full(n, -12345, dtype=np.int64)
+# ---- table width ---------------------------------------------------------
+
+I16, I32 = 2**15, 2**31
+
+
+@pytest.mark.parametrize(
+    "balances, dtype",
+    [
+        ({0: I16 - 1}, np.int16),
+        ({0: I16}, np.int32),
+        ({0: -I16}, np.int16),
+        ({0: -I16 - 1}, np.int32),
+        ({0: I32 - 1}, np.int32),
+        ({0: I32}, np.int64),
+        ({0: -I32}, np.int32),
+        ({0: -I32 - 1}, np.int64),
+        # the totals, not the single balances, pick the width
+        ({0: 20000, 1: I16 - 1 - 20000, 2: -I16}, np.int16),
+        ({0: 20000, 1: I16 - 20000, 2: -5}, np.int32),
+        ({0: 5, 1: -I32 + 5, 2: -5}, np.int32),
+        ({0: 5, 1: -I32 + 5, 2: -6}, np.int64),
+    ],
+)
+def test_width_edges(balances, dtype):
+    eng = SubsetSumEngine()
+    eng.rebuild_from_debts(balances)
+    assert eng._sums.dtype == dtype and audit_sums(eng)
+    assert eng.subset_sum(eng.live_mask) == sum(balances.values())
+
+
+def test_arcs_widen_the_table_and_rebuild_narrows_it():
+    # (arc, width after it, entries written: 2^k - 1 on each widening)
+    steps = [
+        ((1, 2, 30000), np.int16, 2**2 - 2**0),
+        ((3, 4, I16 - 1 - 30000), np.int16, 2**4 - 2**2),
+        ((1, 5, 1), np.int32, 2**5 - 1),  # positive total 2^15
+        ((6, 7, I32 - 1 - I16), np.int32, 2**7 - 2**5),
+        ((6, 8, 1), np.int64, 2**8 - 1),  # node 6 holds slot 5, yet all is rewritten
+        ((7, 6, I32 - 1 - I16), np.int64, 2**7 - 2**5),  # never narrows on an arc
+    ]
+    eng = SubsetSumEngine()
+    for (u, v, x), dtype, touched in steps:
+        eng.apply_arc_delta(u, v, x)
+        assert eng._sums.dtype == dtype and audit_sums(eng)
+        assert eng.last_touched_sums == touched
+    eng.rebuild_from_debts(eng.balances())  # positive total 2^15
+    assert eng._sums.dtype == np.int32 and audit_sums(eng)
+    eng.apply_arc_delta(2, 1, 2)  # positive total 2^15 - 1
+    eng.rebuild_from_debts(eng.balances())
+    assert eng._sums.dtype == np.int16 and audit_sums(eng)
+
+
+@pytest.mark.parametrize(
+    "start, arc, error, budget",
+    [
+        (5, (3, 4, 2**63 - 1), MoneyOverflowError, None),
+        (I16, (3, 4, 2**63 - 1), MoneyOverflowError, None),
+        (I32, (3, 4, 2**63 - I32), MoneyOverflowError, None),
+        (5, (3, 4, I16), CapacityError, 8 << 2),
+        (I16, (3, 4, I32), CapacityError, 8 << 2),
+    ],
+)
+def test_refused_arc_keeps_the_width(monkeypatch, start, arc, error, budget):
+    eng = SubsetSumEngine()
+    eng.apply_arc_delta(1, 2, start)
+    if budget is not None:
+        monkeypatch.setattr(bits, "TABLE_BYTES_MAX", budget)  # two slots of sums
+    dtype, before = eng._sums.dtype, engine_digest(eng)
+    with pytest.raises(error):
+        eng.apply_arc_delta(*arc)
+    assert eng._sums.dtype == dtype and engine_digest(eng) == before
+
+
+def test_python_ints_keep_a_narrow_table_narrow():
+    # the refresh adds Python-int balances into int16 and int32 tables;
+    # numpy 2's weak scalars (NEP 50) keep the table's width, where older
+    # numpy promoted by value
+    t = np.zeros(4, dtype=np.int16)
+    np.add(t[:2], -I16, out=t[2:])
+    assert t.dtype == np.int16 and t.tolist() == [0, 0, -I16, -I16]
+    assert (t[:2] + (I16 - 1)).dtype == np.int16
+    with pytest.raises(OverflowError):
+        t + I16
+
+
+def junk_table(n, dtype):
+    return np.full(n, -12345, dtype=dtype)
 
 
 def replay_on_junk_tables(ops):

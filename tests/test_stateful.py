@@ -2,14 +2,16 @@
 
 hypothesis drives one ledger through node and arc insertions,
 cancellations, departures and queries.  After every step the live sums
-table is audited against direct summation, and the size of the ledger's
-plan is checked against a batch solve of the same balances and, up to
-ORACLE_K balances, against the brute-force oracle.  Refused arcs must
-leave the engine exactly as it was.
+table is audited against direct summation and must be wide enough for
+the balance totals, and the size of the ledger's plan is checked against
+a batch solve of the same balances and, up to ORACLE_K balances, against
+the brute-force oracle.  Refused arcs must leave the engine exactly as it
+was.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -113,6 +115,32 @@ class LedgerMachine(RuleBasedStateMachine):
         assert engine_digest(eng) == before
 
     @precondition(two_live)
+    @rule(
+        i=st.integers(0, 63),
+        j=st.integers(0, 63),
+        edge=st.sampled_from([2**15, 2**31]),
+        step=st.integers(-1, 1),
+    )
+    def cross_a_table_width(self, i, j, edge, step):
+        # an arc from a node owed nothing to one owing nothing raises the
+        # positive total by its amount: to edge - 1, edge or edge + 1 of
+        # the int16 or int32 range; cancelling it brings the total back
+        debts = self.led.debts
+        ups = [w for w in sorted(debts) if debts[w] >= 0]
+        u = ups[i % len(ups)]
+        downs = [w for w in sorted(debts) if debts[w] <= 0 and w != u]
+        v = downs[j % len(downs)]
+        total = sum(d for d in debts.values() if d > 0)
+        eng = self.led.engine
+        width = eng._sums.itemsize
+        self.led.insert_arc(u, v, edge + step - total)
+        need = 2 if edge + step < 2**15 else 4 if edge + step < 2**31 else 8
+        assert eng._sums.itemsize == max(width, need)
+        self.led.remove_arc(u, v)
+        assert sum(d for d in self.led.debts.values() if d > 0) <= total
+        assert eng._sums.itemsize == max(width, need)  # an arc never narrows it
+
+    @precondition(two_live)
     @rule(i=st.integers(0, 63), j=st.integers(0, 63))
     def remove_arc(self, i, j):
         u, v = self.pick(i), self.pick(j)
@@ -161,6 +189,10 @@ class LedgerMachine(RuleBasedStateMachine):
         assert audit_sums(eng)
         assert eng.live_mask == (1 << k) - 1
         debts = eng.balances()
+        # every subset sum lies between the two totals
+        width = np.iinfo(eng._sums.dtype)
+        assert width.min <= sum(d for d in debts.values() if d < 0)
+        assert sum(d for d in debts.values() if d > 0) <= width.max
         size = len(self.led.query())
         assert size == optimum(debts)
         if k <= ORACLE_K:
