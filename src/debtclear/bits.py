@@ -9,7 +9,9 @@ mask, in ``max(1, 2^width / 64)`` ``uint64`` words: mask m is bit
 ``m % 64`` of word ``m // 64``.  Slot j < 6 then runs inside every word
 (its partner bits are ``2^j`` apart), and slot j >= 6 pairs whole words
 ``2^(j - 6)`` apart, so a pass over one slot is either a masked shift of
-every word or an OR between word runs ``2^(j - 6)`` long.
+every word or an OR between word runs ``2^(j - 6)`` long, and dropping
+the members that hold slot j either masks every word or clears every
+other run.
 """
 
 from __future__ import annotations
@@ -96,6 +98,15 @@ def unpack_masks(words: np.ndarray) -> np.ndarray:
 def packed_member(words: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Per-element test of ``masks`` for membership in the packed set ``words``."""
     return ((words[masks >> 6] >> (masks & 63).astype(np.uint64)) & np.uint64(1)) != 0
+
+
+def without_slot(words: np.ndarray, j: int) -> np.ndarray:
+    """A copy of the packed set ``words`` without the members that hold slot j."""
+    if j < 6:
+        return words & _LOW[j]
+    out = words.copy()
+    out.reshape(-1, 2, 1 << (j - 6))[:, 1] = 0
+    return out
 
 
 def _spread(dst: np.ndarray, src: np.ndarray, j: int) -> None:

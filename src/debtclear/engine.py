@@ -103,10 +103,16 @@ class SubsetSumEngine:
     ``bits.TABLE_BYTES_MAX`` (128 MiB by default, so k <= 24), counting 8
     bytes per entry, is refused with ``CapacityError`` before anything
     changes or is allocated.
+
+    The zero mask, one ``bool`` per live mask (``2^k`` bytes), lives from
+    the first ``zero_sets`` or ``zero_bits`` after a write to the next
+    ``_refresh``, the one place that drops it.  Filling it is idempotent,
+    so concurrent reads of a frozen engine stay safe.
     """
 
     def __init__(self) -> None:
         self._sums = np.zeros(1, dtype=_WIDTHS[0][0])
+        self._zero: np.ndarray | None = None
         self._node_of_slot: list[NodeId] = []
         self._slot_of_node: dict[NodeId, int] = {}
         self._debts: dict[NodeId, Money] = {}
@@ -157,27 +163,38 @@ class SubsetSumEngine:
             raise StaleMaskError(f"mask {mask:#x} is not contained in the live mask")
         return int(self._sums[mask])
 
+    def _zero_mask(self) -> np.ndarray:
+        """``sums[:2^k] == 0``, computed by the first read after a write."""
+        zero = self._zero
+        if zero is None:
+            zero = self._zero = self._sums[: 1 << len(self._node_of_slot)] == 0
+        return zero
+
     def zero_sets(self) -> np.ndarray:
         """All nonempty subsets of the live mask with zero balance sum.
 
         They are the positions of the zero entries of the live table, as
         a strictly ascending ``int64`` array, without position 0: the
-        empty set, whose sum is always zero.
+        empty set, whose sum is always zero.  The table is scanned once
+        per state: the first read after a write keeps the zero mask
+        (``2^k`` bytes) until the next write.
         """
-        return np.flatnonzero(self._sums[: 1 << len(self._node_of_slot)] == 0)[1:]
+        return np.flatnonzero(self._zero_mask())[1:]
 
     def zero_bits(self) -> np.ndarray:
         """The zero sets of ``zero_sets``, packed as in ``bits.pack_masks``.
 
         One bit per live mask, set where the live table is zero, bit 0
         (the empty set) cleared: ``max(1, 2^k / 64)`` ``uint64`` words,
-        checked against the table budget before they are allocated.
+        checked against the table budget before they are allocated.  They
+        are packed from the same zero mask as ``zero_sets``, so a read
+        after a read of the same state does not scan the table again.
         """
         k = len(self._node_of_slot)
         nbytes = 8 * max(1, (1 << k) >> 6)
         check_table_bytes(nbytes, "the packed zero sets")
         packed = np.zeros(nbytes, dtype=np.uint8)
-        bits = np.packbits(self._sums[: 1 << k] == 0, bitorder="little")
+        bits = np.packbits(self._zero_mask(), bitorder="little")
         packed[: len(bits)] = bits
         packed[0] &= 0xFE
         return packed.view("<u8").astype(np.uint64, copy=False)
@@ -218,8 +235,10 @@ class SubsetSumEngine:
         the table's, the refresh runs from j0 = 0 into a wider table.  A
         table shorter than ``2^k`` is first replaced by one of ``2^k``
         entries, of the same width, that takes over only that prefix.
-        Returns the entries written, ``2^k - 2^j0``.
+        Returns the entries written, ``2^k - 2^j0``, and drops the zero
+        mask of the old state.
         """
+        self._zero = None
         if dtype.itemsize > self._sums.itemsize:
             # only the empty set's sum, 0, is kept
             self._sums, j0 = self._sums[:1].astype(dtype), 0

@@ -22,12 +22,22 @@ part), so the atoms alone and the full list give the same dp and the same
 choice.
 
 ``min_removal_set`` (the departure path) takes no list.  It reads the
-packed set Z of all nonempty zero sets (``bits.pack_masks`` layout) and
-builds levels A_p = {zero sets S : h(S) >= p}: A_1 = Z, and A_(p+1) =
-Z and ``bits.strict_up``(A_p), because a zero set splits into p + 1 parts
-exactly when it strictly contains a zero set that splits into p (the
-difference of two nested zero sets is again a zero set).  Only the last
-two levels are kept.
+packed set Z of all nonempty zero sets (``bits.pack_masks`` layout).  For
+the live mask L and the leaving slot u,
+
+    h(L) = 1 + max h(C) over the zero sets C inside L without u,
+
+with h(empty set) = 0: L \\ C is a further nonempty zero set, which gives
+>=, and dropping the part that holds u from an optimal partition of L
+gives <=.  So it builds levels only over the u-free zero sets, A'_p =
+{u-free zero sets S : h(S) >= p}: A'_1 = Z without the masks holding u,
+and A'_(p+1) = A'_1 and ``bits.strict_up``(A'_p), because a zero set
+splits into p + 1 parts exactly when it strictly contains a zero set
+that splits into p (the difference of two nested zero sets is again a
+zero set), and the subsets of a u-free set are u-free too.  The last
+nonempty level is A'_(h(L) - 1), reached with h(L) - 1 closures, and
+P = L ^ C over its members C are exactly the groups holding u that leave
+the rest optimal.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ from .bits import (
     popcount_array,
     strict_up,
     unpack_masks,
+    without_slot,
 )
 from .errors import ContractError
 from .model import Money, NodeId, Transaction
@@ -137,31 +148,36 @@ def min_removal_set(zero: np.ndarray, k: int, u_slot: int) -> int:
     ``zero`` is the packed set of every nonempty zero set below ``2^k``
     (``SubsetSumEngine.zero_bits``).  Returns the zero set P containing
     ``u_slot`` with ``h(live \\ P) = h(live) - 1`` of minimum cardinality,
-    ties to the numerically smallest mask (see the module docstring for
-    the levels and h).  When the live mask is the only zero set it is
-    the answer.  Raises ``CapacityError`` before the level bitsets would
-    exceed the table budget.
+    ties to the numerically smallest mask.  Those P are ``live ^ C`` for
+    the zero sets C without ``u_slot`` of the largest h, because
+
+        h(live) = 1 + max h(C) over the zero sets C inside live without u,
+
+    h(empty set) being 0: ``live \\ C`` is a further zero set (>=), and
+    the part holding u can be dropped from an optimal partition of live
+    (<=).  The levels of these C (see the module docstring) take
+    h(live) - 1 closures; when no zero set avoids ``u_slot`` the live mask
+    is the answer, and no level is built.  Raises ``CapacityError`` before
+    the level bitsets would exceed the table budget.
     """
     live = (1 << k) - 1
-    ubit = 1 << u_slot
-    if not live & ubit:
+    if not live & 1 << u_slot:
         raise ContractError(f"slot {u_slot} is not in the live mask")
     if not _holds(zero, live):
         raise ContractError("the live mask is not a zero set")
-    if int(np.bitwise_count(zero).sum()) == 1:
+    free = without_slot(zero, u_slot)  # A'_1
+    if not free.any():
         return live
     check_table_bytes(3 * zero.nbytes, "the departure's level bitsets")
-    # prev, cur = A_(p-1), A_p; live has a proper zero subset, so h(live) >= 2
-    prev = cur = zero
+    level = free
     while True:
-        nxt = strict_up(cur, k)
-        nxt &= zero
-        if not _holds(nxt, live):
+        up = strict_up(level, k)
+        up &= free
+        if not up.any():
             break
-        prev, cur = cur, nxt
-    # every C in A_(h(live) - 1) without u leaves P = live ^ C, and no other does
-    cand = unpack_masks(prev)
-    p = cand[(cand & MASK_DTYPE(ubit)) == 0] ^ MASK_DTYPE(live)
+        level = up
+    # level is A'_(h(live) - 1): its members C leave P = live ^ C, and no other does
+    p = unpack_masks(level) ^ MASK_DTYPE(live)
     order = np.lexsort((p, popcount_array(p)))
     return int(p[order[0]])
 

@@ -10,6 +10,7 @@ from debtclear.bits import (
     popcount_array,
     strict_up,
     unpack_masks,
+    without_slot,
 )
 
 
@@ -43,6 +44,17 @@ def test_strict_up_matches_brute_force(width):
         assert unpack_masks(words).tolist() == sorted(members)
         up = packed_member(strict_up(words, width), every)
         assert set(np.flatnonzero(up).tolist()) == brute_strict_up(members, width)
+
+
+@pytest.mark.parametrize("width", [1, 5, 6, 7, 10])
+def test_without_slot_matches_brute_force(width):
+    # slots below 6 mask every word, slots 6 and up clear every other run
+    masks = np.flatnonzero(np.random.default_rng(width).random(1 << width) < 0.5)
+    words = pack_masks(masks, width)
+    for j in range(width):
+        out = without_slot(words, j)
+        assert unpack_masks(out).tolist() == [m for m in masks.tolist() if not m >> j & 1]
+        assert np.array_equal(unpack_masks(words), masks)  # the input is left as it was
 
 
 def test_table_budget_fits_default_capacity():

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -463,6 +466,106 @@ def test_zero_sets_triple():
     assert list(eng.zero_sets()) == [0b111]
 
 
+# ---- the zero mask: one scan per table state ----------------------------------
+
+
+def read_zero_mask(eng):
+    """Read both zero-set views and return the mask they share."""
+    sets = eng.zero_sets()
+    mask = eng._zero
+    assert mask is not None
+    assert np.array_equal(eng.zero_bits(), bits.pack_masks(sets, eng.vstar_size))
+    assert eng._zero is mask  # the second read did not scan again
+    return mask
+
+
+@pytest.mark.parametrize(
+    "arc, error, budget",
+    [
+        ((1, 1, 5), LoopError, None),
+        ((1, 3, 0), AmountError, None),
+        ((1, 3, 2.5), AmountError, None),
+        ((3, 4, 2**63 - 1), MoneyOverflowError, None),
+        ((3, 4, 1), CapacityError, 8 << 3),  # three slots of sums
+    ],
+)
+def test_refused_arc_keeps_the_zero_mask(monkeypatch, arc, error, budget):
+    eng = SubsetSumEngine()
+    eng.rebuild_from_debts({1: 4, 2: -4, 5: 3, 6: -3})
+    mask = read_zero_mask(eng)
+    if budget is not None:
+        monkeypatch.setattr(bits, "TABLE_BYTES_MAX", budget)
+    with pytest.raises(error):
+        eng.apply_arc_delta(*arc)
+    assert eng._zero is mask
+    assert list(eng.zero_sets()) == [0b0011, 0b1100, 0b1111]
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda eng: eng.apply_arc_delta(2, 1, 4),  # settles nodes 1 and 2
+        lambda eng: eng.clear_block(0b0011),  # the same, as a block
+        lambda eng: eng.rebuild_from_debts({1: 1, 2: -1}),
+    ],
+)
+def test_writes_drop_the_zero_mask(write):
+    eng = SubsetSumEngine()
+    eng.rebuild_from_debts({1: 4, 2: -4, 5: 3, 6: -3})
+    read_zero_mask(eng)
+    write(eng)
+    assert eng._zero is None and audit_sums(eng)
+    # two balances remain: the old mask would also hold 0b1100 and 0b1111
+    assert list(eng.zero_sets()) == [0b11]
+    read_zero_mask(eng)
+
+
+def test_concurrent_reads_fill_the_zero_mask_alike():
+    # readers of a frozen engine may race to fill the zero mask; filling it
+    # is idempotent, so each returns the scan of the one table state.
+    # Before each round two writes drop the mask and restore the balances
+    # (both endpoints stay nonzero, so no slot moves)
+    eng = SubsetSumEngine()
+    eng.rebuild_from_debts({u: (u % 5 + 2) * (-1) ** u for u in range(9)} | {9: -6})
+    want_sets = np.flatnonzero(eng._sums[: 1 << eng.vstar_size] == 0)[1:]
+    want_bits = bits.pack_masks(want_sets, eng.vstar_size)
+    assert len(want_sets) > 1
+    rounds, readers = 100, 4
+    start = threading.Barrier(readers + 1, timeout=10)
+    done = threading.Barrier(readers + 1, timeout=10)
+    wrong = []
+
+    def read(i):
+        for _ in range(rounds):
+            start.wait()
+            if i % 2:
+                ok = np.array_equal(eng.zero_sets(), want_sets)
+            else:
+                ok = np.array_equal(eng.zero_bits(), want_bits)
+            if not ok:
+                wrong.append(i)
+            done.wait()
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(readers)]
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for _ in range(rounds):
+            eng.apply_arc_delta(0, 1, 1)
+            eng.apply_arc_delta(1, 0, 1)
+            assert eng._zero is None
+            start.wait()
+            done.wait()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong and audit_sums(eng)
+
+
 def test_subset_sum_reads():
     eng = SubsetSumEngine()
     eng.rebuild_from_debts(EXAMPLE1_BALANCES)
@@ -493,7 +596,10 @@ def test_ground_truth_after_any_sequence(ops):
     assert audit_sums(eng)
     assert eng.subset_sum(eng.live_mask) == 0
     assert eng.live_mask == (1 << eng.vstar_size) - 1
-    packed = bits.pack_masks(eng.zero_sets(), eng.vstar_size)
+    # both views read one mask, so each is also checked against enumeration
+    brute = sorted(mask_of_nodes(eng, nodes) for nodes in brute_zero_node_sets(eng.balances()))
+    assert eng.zero_sets().tolist() == brute
+    packed = bits.pack_masks(np.array(brute, dtype=np.int64), eng.vstar_size)
     assert np.array_equal(eng.zero_bits(), packed)
     assert None not in eng.node_slots()
     # a node holds a slot iff its balance is nonzero

@@ -172,15 +172,41 @@ def test_min_removal_matches_brute_force(vals, data):
 
 
 def test_min_removal_without_proper_zero_subset_is_live(monkeypatch):
-    # no proper subset of {1, 2, -3} sums to zero: the early exit, no closure
+    # no proper subset of {1, 2, -3} sums to zero, so no zero set avoids
+    # the leaver: the early exit, with no closure and before the budget
+    # of the level bitsets
     def no_closure(*args):
         raise AssertionError("strict_up called")
 
     monkeypatch.setattr(partition, "strict_up", no_closure)
     eng = SubsetSumEngine()
     eng.rebuild_from_debts({0: 1, 1: 2, 2: -3})
+    zero = eng.zero_bits()
+    monkeypatch.setattr(bits, "TABLE_BYTES_MAX", zero.nbytes)
     for slot in range(3):
-        assert min_removal_set(eng.zero_bits(), 3, slot) == 0b111
+        assert min_removal_set(zero, 3, slot) == 0b111
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-9, 9).filter(bool), min_size=1, max_size=8), st.data())
+def test_min_removal_builds_one_level_fewer_than_the_parts(vals, data):
+    # A'_1 needs no closure and the empty level that ends the loop takes
+    # one, so h(live) - 1 calls of strict_up in all
+    if sum(vals):
+        vals = vals + [-sum(vals)]
+    eng = SubsetSumEngine()
+    eng.rebuild_from_debts(dict(enumerate(vals)))
+    k = len(vals)
+    calls = []
+
+    def counted(words, width):
+        calls.append(width)
+        return bits.strict_up(words, width)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partition, "strict_up", counted)
+        min_removal_set(eng.zero_bits(), k, data.draw(st.integers(0, k - 1)))
+    assert len(calls) == oracle_parts(tuple(sorted(vals))) - 1
 
 
 def test_min_removal_level_bitsets_count_against_budget(monkeypatch):

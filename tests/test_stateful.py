@@ -3,10 +3,11 @@
 hypothesis drives one ledger through node and arc insertions,
 cancellations, departures and queries.  After every step the live sums
 table is audited against direct summation and must be wide enough for
-the balance totals, and the size of the ledger's plan is checked against
-a batch solve of the same balances and, up to ORACLE_K balances, against
-the brute-force oracle.  Refused arcs must leave the engine exactly as it
-was.
+the balance totals, both zero-set views must match a fresh scan of it
+(the engine keeps its zero mask between writes), and the size of the
+ledger's plan is checked against a batch solve of the same balances
+and, up to ORACLE_K balances, against the brute-force oracle.  Refused
+arcs must leave the engine exactly as it was.
 """
 
 from __future__ import annotations
@@ -193,6 +194,11 @@ class LedgerMachine(RuleBasedStateMachine):
         width = np.iinfo(eng._sums.dtype)
         assert width.min <= sum(d for d in debts.values() if d < 0)
         assert sum(d for d in debts.values() if d > 0) <= width.max
+        # the kept zero mask is never stale; checked before the query
+        # below fills it again, so every rule starts with a kept mask
+        scan = np.flatnonzero(eng._sums[: 1 << k] == 0)[1:]
+        assert np.array_equal(eng.zero_bits(), bits.pack_masks(scan, k))
+        assert np.array_equal(eng.zero_sets(), scan)
         size = len(self.led.query())
         assert size == optimum(debts)
         if k <= ORACLE_K:
