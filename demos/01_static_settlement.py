@@ -8,8 +8,8 @@ be cleared with just two payments.
 from debtclear import (
     Borrowing,
     balances_of,
-    is_equivalent,
     oracle_max_zero_partition,
+    plan_settles,
     solve_static,
 )
 
@@ -34,7 +34,7 @@ for t in plan:
     print(f"  {t.sender} pays {t.receiver} {t.amount}")
 
 # a plan is correct iff it reproduces the balance vector exactly
-print("\nplan reproduces the balances:", is_equivalent(borrowings, plan))
+print("\nplan reproduces the balances:", plan_settles(balances_of(borrowings), plan))
 
 # the exhaustive reference solver confirms two payments is optimal
 res = oracle_max_zero_partition(balances_of(borrowings))

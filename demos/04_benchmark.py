@@ -6,15 +6,15 @@ harness times the batch solver against the incremental ledger and
 reports how hard each case worked the zero-set machinery.
 """
 
-from debtclear import case_spec, format_static, generate_case, run_benchmark
+from debtclear import CaseSpec, format_static, generate_case, run_benchmark
 
 # every case is reproducible: structured ones are fixed, random ones seeded
-n, arcs = generate_case(case_spec(3))
+n, arcs = generate_case(CaseSpec(3))
 print("case 3 as an instance file:")
 print(format_static(n, arcs))
 
 report = run_benchmark(
-    [case_spec(t) for t in (1, 2, 3, 5, 6)],
+    [CaseSpec(t) for t in (1, 2, 3, 5, 6)],
     repetitions=3,
     mode="once",
 )

@@ -11,13 +11,8 @@ from .bench import (
     BenchRow,
     CaseSpec,
     SplitMix64,
-    case_spec,
-    format_plan,
-    format_static,
     generate_case,
-    parse_static,
     run_benchmark,
-    run_script,
 )
 from .engine import SubsetSumEngine
 from .errors import (
@@ -34,6 +29,7 @@ from .errors import (
     StaleMaskError,
     UnknownNodeError,
 )
+from .formats import format_plan, format_static, parse_static, run_script
 from .heuristics import clear_non_atomic, clear_pairs
 from .ledger import Ledger, QueryStats, solve_static, solve_static_with_stats
 from .model import (
@@ -42,13 +38,11 @@ from .model import (
     NodeId,
     Transaction,
     TransactionPlan,
-    absolute_debt,
     balances_of,
-    is_equivalent,
     plan_settles,
 )
 from .oracle import ORACLE_LIMIT, OracleResult, oracle_max_zero_partition
-from .partition import PartitionResult, max_partition, min_removal_set, settle_part
+from .partition import max_partition, min_removal_set, settle_part
 
 __version__ = "0.1.0"
 
@@ -72,7 +66,6 @@ __all__ = [
     "OracleLimitError",
     "OracleResult",
     "ParseError",
-    "PartitionResult",
     "QueryStats",
     "ScriptError",
     "SplitMix64",
@@ -81,15 +74,12 @@ __all__ = [
     "Transaction",
     "TransactionPlan",
     "UnknownNodeError",
-    "absolute_debt",
     "balances_of",
-    "case_spec",
     "clear_non_atomic",
     "clear_pairs",
     "format_plan",
     "format_static",
     "generate_case",
-    "is_equivalent",
     "max_partition",
     "min_removal_set",
     "oracle_max_zero_partition",

@@ -55,11 +55,6 @@ def bit_positions(mask: int) -> list[int]:
     return out
 
 
-def popcount_array(masks: np.ndarray) -> np.ndarray:
-    """Per-element popcount of an int64 mask array."""
-    return np.bitwise_count(masks).astype(np.int64)
-
-
 def check_table_bytes(nbytes: int, what: str) -> None:
     """Refuse, before allocating, a table larger than ``TABLE_BYTES_MAX``."""
     if nbytes > TABLE_BYTES_MAX:

@@ -5,18 +5,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import (
-    CASE_TABLE,
-    DEFAULT_SEED,
-    case_spec,
-    format_plan,
-    format_static,
-    generate_case,
-    parse_static,
-    run_benchmark,
-    run_script,
-)
+from .bench import CASE_TABLE, DEFAULT_SEED, CaseSpec, generate_case, run_benchmark
 from .errors import DebtClearError
+from .formats import format_plan, format_static, parse_static, run_script
 from .ledger import solve_static
 from .model import balances_of
 from .oracle import oracle_max_zero_partition
@@ -101,10 +92,10 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "run":
             _write(args.out, run_script(_read(args.script)))
         elif args.command == "gen":
-            n, arcs = generate_case(case_spec(args.test_id, args.seed))
+            n, arcs = generate_case(CaseSpec(args.test_id, args.seed))
             _write(args.out, format_static(n, arcs))
         elif args.command == "bench":
-            cases = [case_spec(t, args.seed) for t in _parse_test_list(args.tests)]
+            cases = [CaseSpec(t, args.seed) for t in _parse_test_list(args.tests)]
             report = run_benchmark(cases, repetitions=args.reps, mode=args.mode)
             for w in report.warnings:
                 print(f"warning: {w}", file=sys.stderr)

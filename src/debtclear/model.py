@@ -121,23 +121,12 @@ def balances_of(borrowings: Iterable[Borrowing]) -> dict[NodeId, Money]:
     return debts
 
 
-def absolute_debt(borrowings: Iterable[Borrowing], v: NodeId) -> Money:
-    """Net balance of node ``v``: outgoing weight minus incoming weight."""
-    _check_node("queried", v)
-    return balances_of(borrowings).get(v, 0)
-
-
 def _plan_balances(plan: TransactionPlan) -> dict[NodeId, Money]:
     debts: dict[NodeId, Money] = {}
     for t in plan:
         debts[t.sender] = debts.get(t.sender, 0) + t.amount
         debts[t.receiver] = debts.get(t.receiver, 0) - t.amount
     return debts
-
-
-def is_equivalent(borrowings: Iterable[Borrowing], plan: TransactionPlan) -> bool:
-    """True iff ``plan`` induces exactly the same balance vector as the borrowings."""
-    return plan_settles(balances_of(borrowings), plan)
 
 
 def plan_settles(debts: Mapping[NodeId, Money], plan: TransactionPlan) -> bool:

@@ -53,7 +53,6 @@ from .bits import (
     check_masks,
     check_table_bytes,
     packed_member,
-    popcount_array,
     strict_up,
     unpack_masks,
     without_slot,
@@ -137,10 +136,6 @@ def max_partition(live: int, s0: np.ndarray, universe: np.ndarray) -> PartitionR
     return PartitionResult(parts, len(parts))
 
 
-def _holds(words: np.ndarray, mask: int) -> bool:
-    return bool(packed_member(words, np.array([mask]))[0])
-
-
 def min_removal_set(zero: np.ndarray, k: int, u_slot: int) -> int:
     """Smallest zero-sum group containing slot ``u_slot`` that an optimal
     partition of the live mask ``2^k - 1`` can afford to settle now.
@@ -163,7 +158,7 @@ def min_removal_set(zero: np.ndarray, k: int, u_slot: int) -> int:
     live = (1 << k) - 1
     if not live & 1 << u_slot:
         raise ContractError(f"slot {u_slot} is not in the live mask")
-    if not _holds(zero, live):
+    if not packed_member(zero, np.array([live]))[0]:
         raise ContractError("the live mask is not a zero set")
     free = without_slot(zero, u_slot)  # A'_1
     if not free.any():
@@ -178,7 +173,7 @@ def min_removal_set(zero: np.ndarray, k: int, u_slot: int) -> int:
         level = up
     # level is A'_(h(live) - 1): its members C leave P = live ^ C, and no other does
     p = unpack_masks(level) ^ MASK_DTYPE(live)
-    order = np.lexsort((p, popcount_array(p)))
+    order = np.lexsort((p, np.bitwise_count(p)))
     return int(p[order[0]])
 
 

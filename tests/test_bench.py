@@ -12,7 +12,6 @@ from debtclear import (
     ScriptError,
     SplitMix64,
     balances_of,
-    case_spec,
     format_plan,
     format_static,
     generate_case,
@@ -55,16 +54,18 @@ def test_splitmix64_randint_range():
 
 
 def test_case_spec_pins_table_row():
-    spec = case_spec(5)
+    spec = CaseSpec(5)
     assert (spec.n, spec.m, spec.expected_amin) == (20, 15, 15)
-    assert CaseSpec(5) == spec
-    with pytest.raises(BenchError):
-        case_spec(16)
+    assert CaseSpec(5, 1) == spec
+    # True and 1.0 equal the table's key 1, yet are not test ids
+    for test_id, seed in ((16, 1), (True, 1), (1.0, 1), (7, 1.0)):
+        with pytest.raises(BenchError):
+            CaseSpec(test_id, seed)
 
 
 @pytest.mark.parametrize("test_id", sorted(CASE_TABLE))
 def test_generator_matches_table(test_id):
-    spec = case_spec(test_id)
+    spec = CaseSpec(test_id)
     n, arcs = generate_case(spec)
     assert n == spec.n and len(arcs) == spec.m
     for b in arcs:
@@ -75,40 +76,40 @@ def test_generator_matches_table(test_id):
 
 @pytest.mark.parametrize("test_id", sorted(CASE_TABLE))
 def test_generator_deterministic(test_id):
-    a = generate_case(case_spec(test_id, seed=77))
-    b = generate_case(case_spec(test_id, seed=77))
+    a = generate_case(CaseSpec(test_id, seed=77))
+    b = generate_case(CaseSpec(test_id, seed=77))
     assert a == b
 
 
 def test_random_cases_depend_on_seed():
     for test_id in (7, 9, 15):
-        a = generate_case(case_spec(test_id, seed=1))
-        b = generate_case(case_spec(test_id, seed=2))
+        a = generate_case(CaseSpec(test_id, seed=1))
+        b = generate_case(CaseSpec(test_id, seed=2))
         assert a != b
 
 
 def test_structured_cases_ignore_seed():
     for test_id in (1, 2, 3, 4, 5, 6, 13, 14):
-        assert generate_case(case_spec(test_id, seed=1)) == generate_case(
-            case_spec(test_id, seed=999)
+        assert generate_case(CaseSpec(test_id, seed=1)) == generate_case(
+            CaseSpec(test_id, seed=999)
         )
 
 
 def test_known_optima_of_structured_cases():
     for test_id, size in ((1, 1), (2, 0), (3, 7), (4, 19), (5, 15), (6, 10), (13, 15), (14, 15)):
-        n, arcs = generate_case(case_spec(test_id))
+        n, arcs = generate_case(CaseSpec(test_id))
         assert len(solve_static(arcs, n)) == size, f"test {test_id}"
 
 
 def test_case13_balance_profile():
-    n, arcs = generate_case(case_spec(13))
+    n, arcs = generate_case(CaseSpec(13))
     d = balances_of(arcs)
     assert sorted(v for v in d.values() if v > 0) == [2, 4, 6, 8, 10, 10, 12, 14, 16, 18]
     assert sorted(v for v in d.values() if v < 0) == [-19, -17, -15, -13, -11, -9, -7, -5, -3, -1]
 
 
 def test_case14_balance_profile():
-    n, arcs = generate_case(case_spec(14))
+    n, arcs = generate_case(CaseSpec(14))
     d = balances_of(arcs)
     assert sorted(v for v in d.values() if v > 0) == [2, 4, 6, 8, 10, 10, 12, 14, 16, 18]
     assert sorted(v for v in d.values() if v < 0) == [-19, -17, -15, -13, -11, -9, -7, -5, -3, -1]
@@ -116,7 +117,7 @@ def test_case14_balance_profile():
 
 def test_random_cases_agree_with_oracle_when_small():
     for test_id in (9, 10, 11):
-        n, arcs = generate_case(case_spec(test_id))
+        n, arcs = generate_case(CaseSpec(test_id))
         debts = balances_of(arcs)
         if sum(1 for v in debts.values() if v != 0) > 16:
             continue
@@ -125,7 +126,7 @@ def test_random_cases_agree_with_oracle_when_small():
 
 @pytest.mark.parametrize("test_id", (9, 10, 11, 12, 15))
 def test_random_case_prefixes_agree_dynamic_vs_static(test_id):
-    n, arcs = generate_case(case_spec(test_id))
+    n, arcs = generate_case(CaseSpec(test_id))
     led = Ledger()
     ids = [led.insert_node() for _ in range(n)]
     step = 9  # sampled prefixes keep the dense cases affordable
@@ -169,6 +170,11 @@ def test_parse_static_loop_reports_line():
         ("2 1\n1 2 99999999999999999999\n", 2),
         ("3 2\n1 2 5\n\n2 3 9223372036854775808\n", 4),
         ("2 2\n1 2 5\n", 2),
+        ("2 1\n1 2 1_0\n", 2),
+        ("2 1\n1 2 \u0665\n", 2),
+        ("2 1\n+1 2 5\n", 2),
+        ("2 +1\n1 2 5\n", 1),
+        ("2 1\n1 2 " + "9" * 5000 + "\n", 2),
     ],
 )
 def test_parse_static_malformed(text, line):
@@ -179,7 +185,7 @@ def test_parse_static_malformed(text, line):
 
 def test_format_parse_roundtrip():
     for test_id in (1, 3, 9, 14):
-        n, arcs = generate_case(case_spec(test_id))
+        n, arcs = generate_case(CaseSpec(test_id))
         text = format_static(n, arcs)
         assert parse_static(text) == (n, arcs)
         assert format_static(*parse_static(text)) == text
@@ -249,6 +255,7 @@ def test_run_script_unarc():
         ("NODE a\nDEL b\n", 2),
         ("NODE 1a\n", 1),
         ("NODE a\nFROB a\n", 2),
+        ("NODE a\nNODE b\nARC a b 1_000\n", 3),
     ],
 )
 def test_run_script_halts_with_command_index(script, command_no):
@@ -267,7 +274,7 @@ def test_run_script_comments_not_counted():
 
 
 def test_run_benchmark_two_cases():
-    report = run_benchmark([case_spec(1), case_spec(2)], repetitions=3)
+    report = run_benchmark([CaseSpec(1), CaseSpec(2)], repetitions=3)
     assert len(report.rows) == 4
     by_case = {}
     for row in report.rows:
@@ -284,27 +291,25 @@ def test_run_benchmark_empty():
 
 def test_run_benchmark_rejects_bad_arguments():
     with pytest.raises(BenchError):
-        run_benchmark([case_spec(1)], repetitions=0)
+        run_benchmark([CaseSpec(1)], repetitions=0)
     with pytest.raises(BenchError):
-        run_benchmark([case_spec(1)], mode="sometimes")
-    with pytest.raises(BenchError):
-        run_benchmark([case_spec(1)], algorithms=("quantum",))
+        run_benchmark([CaseSpec(1)], mode="sometimes")
+    for reps in (2.5, True):
+        with pytest.raises(BenchError):
+            run_benchmark([CaseSpec(1)], repetitions=reps)
 
 
 def test_run_benchmark_per_arc_heuristic_reduction():
-    report = run_benchmark(
-        [case_spec(5)], algorithms=("dynamic-incremental",), repetitions=1, mode="per-arc"
-    )
-    (row,) = report.rows
+    report = run_benchmark([CaseSpec(5)], repetitions=1, mode="per-arc")
+    _, row = report.rows
+    assert row.algorithm == "dynamic-incremental"
     assert row.avg_s0_reduced < row.avg_s0
     assert row.plan_size == 15
 
 
 def test_run_benchmark_capacity_warning(monkeypatch):
     monkeypatch.setattr(bits, "TABLE_BYTES_MAX", 8 << 2)  # two slots of sums
-    report = run_benchmark(
-        [case_spec(4)], algorithms=("dynamic-incremental",), repetitions=1
-    )
+    report = run_benchmark([CaseSpec(4)], repetitions=1)
     assert report.rows == []
     assert len(report.warnings) == 1 and "test 4" in report.warnings[0]
 
@@ -322,7 +327,7 @@ def test_bench_counts_golden():
     rows = []
     for mode, ids in runs:
         header, *lines = run_benchmark(
-            [case_spec(t) for t in ids], repetitions=1, mode=mode
+            [CaseSpec(t) for t in ids], repetitions=1, mode=mode
         ).to_csv().splitlines()
         rows += lines
     got = ""
@@ -334,7 +339,7 @@ def test_bench_counts_golden():
 
 
 def test_csv_header_and_shape():
-    report = run_benchmark([case_spec(2)], repetitions=1)
+    report = run_benchmark([CaseSpec(2)], repetitions=1)
     lines = report.to_csv().splitlines()
     assert lines[0] == "test,algorithm,mode,reps,avg_seconds,plan_size,avg_vstar,avg_s0,avg_s0_reduced"
     assert len(lines) == 3

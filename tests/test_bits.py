@@ -7,7 +7,6 @@ from debtclear.bits import (
     check_table_bytes,
     pack_masks,
     packed_member,
-    popcount_array,
     strict_up,
     unpack_masks,
     without_slot,
@@ -18,11 +17,6 @@ def test_bit_positions():
     assert bit_positions(0) == []
     assert bit_positions(0b1) == [0]
     assert bit_positions(0b101001) == [0, 3, 5]
-
-
-def test_popcount_array():
-    arr = np.array([0, 1, 0b111, (1 << 40) - 1], dtype=np.int64)
-    assert popcount_array(arr).tolist() == [0, 1, 3, 40]
 
 
 def brute_strict_up(members: set[int], width: int) -> set[int]:

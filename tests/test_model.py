@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import debtclear
 from debtclear import (
     AmountError,
     Borrowing,
@@ -11,29 +12,11 @@ from debtclear import (
     Transaction,
     TransactionPlan,
     UnknownNodeError,
-    absolute_debt,
     balances_of,
-    is_equivalent,
     plan_settles,
 )
 
 from _support import EXAMPLE1, EXAMPLE1_BALANCES
-
-
-def test_absolute_debt_worked_example():
-    assert absolute_debt(EXAMPLE1, 1) == 10
-    assert absolute_debt(EXAMPLE1, 3) == 0
-
-
-def test_absolute_debt_empty():
-    assert absolute_debt([], 0) == 0
-    assert absolute_debt([], 7) == 0
-
-
-def test_absolute_debt_rejects_invalid_reference():
-    for v in (-1, 0.5, True):
-        with pytest.raises(UnknownNodeError):
-            absolute_debt(EXAMPLE1, v)
 
 
 def test_balances_of_worked_example():
@@ -42,21 +25,21 @@ def test_balances_of_worked_example():
 
 def test_is_equivalent_accepts_published_plan():
     plan = TransactionPlan([Transaction(1, 5, 10), Transaction(4, 2, 5)])
-    assert is_equivalent(EXAMPLE1, plan)
+    assert plan_settles(balances_of(EXAMPLE1), plan)
 
 
 def test_is_equivalent_rejects_partial_plan():
     plan = TransactionPlan([Transaction(1, 5, 10)])
-    assert not is_equivalent(EXAMPLE1, plan)
+    assert not plan_settles(balances_of(EXAMPLE1), plan)
 
 
 def test_is_equivalent_empty():
-    assert is_equivalent([], TransactionPlan())
+    assert plan_settles(balances_of([]), TransactionPlan())
 
 
 def test_is_equivalent_order_invariant():
     plan_fwd = TransactionPlan([Transaction(4, 2, 5), Transaction(1, 5, 10)])
-    assert is_equivalent(list(reversed(EXAMPLE1)), plan_fwd)
+    assert plan_settles(balances_of(reversed(EXAMPLE1)), plan_fwd)
 
 
 arc_lists = st.lists(
@@ -136,3 +119,11 @@ def test_plan_settles_matches_balance_vector():
     plan = TransactionPlan([Transaction(1, 5, 10), Transaction(4, 2, 5)])
     assert plan_settles(EXAMPLE1_BALANCES, plan)
     assert not plan_settles({1: 10, 5: -10}, plan)
+
+
+def test_public_names():
+    assert debtclear.__all__ == sorted(set(debtclear.__all__))
+    for name in debtclear.__all__:
+        getattr(debtclear, name)
+    for name in ("absolute_debt", "is_equivalent", "case_spec", "PartitionResult"):
+        assert not hasattr(debtclear, name), name
