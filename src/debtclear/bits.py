@@ -23,11 +23,11 @@ from .errors import CapacityError, ContractError
 # the dtype of slot masks (never of money: the sums table picks its own width)
 MASK_DTYPE = np.int64
 
-# largest table any pass may allocate, in bytes: the sums of 24 nonzero
-# balances counted at the widest (int64) entry, whatever width the engine
-# holds them in, so the one bound on k; read at call time, so a test can
-# lower it
-TABLE_BYTES_MAX = 8 << 24
+# the one bound on k: every array over a table state has one entry or one
+# bit per mask below 2^k, so at k = 24 the state holds at most 128 MiB of
+# int64 sums, the 16 MiB zero mask and 2 MiB per packed bitset; read at
+# call time, so a test can lower it
+SLOTS_MAX = 24
 
 # _LOW[j] marks the in-word positions b (0..63) whose mask has slot j clear
 _LOW = np.array(
@@ -55,12 +55,10 @@ def bit_positions(mask: int) -> list[int]:
     return out
 
 
-def check_table_bytes(nbytes: int, what: str) -> None:
-    """Refuse, before allocating, a table larger than ``TABLE_BYTES_MAX``."""
-    if nbytes > TABLE_BYTES_MAX:
-        raise CapacityError(
-            f"{what} would take {nbytes} bytes, over the {TABLE_BYTES_MAX}-byte table budget"
-        )
+def check_slots(k: int, what: str) -> None:
+    """Refuse, before allocating, a table over more than ``SLOTS_MAX`` slots."""
+    if k > SLOTS_MAX:
+        raise CapacityError(f"{what} would span {k} slots, over the bound of {SLOTS_MAX}")
 
 
 def check_masks(masks: np.ndarray) -> None:
@@ -72,12 +70,11 @@ def check_masks(masks: np.ndarray) -> None:
 def pack_masks(masks: np.ndarray, width: int) -> np.ndarray:
     """Packed set over the masks below ``2^width`` holding exactly ``masks``.
 
-    Raises ``CapacityError``, before allocating, when the set would take
-    more than ``TABLE_BYTES_MAX`` bytes.
+    Raises ``CapacityError``, before allocating, when ``width`` is over
+    ``SLOTS_MAX``.
     """
-    nwords = max(1, (1 << width) >> 6)
-    check_table_bytes(8 * nwords, "a packed mask set")
-    words = np.zeros(nwords, dtype=np.uint64)
+    check_slots(width, "a packed mask set")
+    words = np.zeros(max(1, (1 << width) >> 6), dtype=np.uint64)
     np.bitwise_or.at(words, masks >> 6, np.left_shift(np.uint64(1), (masks & 63).astype(np.uint64)))
     return words
 

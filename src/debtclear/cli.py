@@ -7,7 +7,7 @@ import sys
 
 from .bench import CASE_TABLE, DEFAULT_SEED, CaseSpec, generate_case, run_benchmark
 from .errors import DebtClearError
-from .formats import format_plan, format_static, parse_static, run_script
+from .formats import _DECIMAL, format_plan, format_static, parse_static, run_script
 from .ledger import solve_static
 from .model import balances_of
 from .oracle import oracle_max_zero_partition
@@ -28,6 +28,13 @@ def _write(path: str | None, text: str) -> None:
             f.write(text)
 
 
+def _decimal(text: str) -> int:
+    """``int`` for a command-line number: ASCII decimal only, as in the files."""
+    if not _DECIMAL.fullmatch(text.strip()):
+        raise argparse.ArgumentTypeError(f"expected an ASCII decimal integer, got {text!r}")
+    return int(text)
+
+
 def _parse_test_list(text: str) -> list[int]:
     ids: list[int] = []
     for chunk in text.split(","):
@@ -36,8 +43,8 @@ def _parse_test_list(text: str) -> list[int]:
             continue
         lo, sep, hi = chunk.partition("-")
         try:
-            first, last = int(lo), int(hi if sep else lo)
-        except ValueError:
+            first, last = _decimal(lo), _decimal(hi if sep else lo)
+        except argparse.ArgumentTypeError:
             raise DebtClearError(f"malformed test list entry {chunk!r}") from None
         # the table's ids are contiguous, so checking the ends bounds the range
         for t in (first, last):
@@ -67,15 +74,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the report here instead of stdout")
 
     p = sub.add_parser("gen", help="generate one of the 15 benchmark cases")
-    p.add_argument("test_id", type=int, choices=sorted(CASE_TABLE), metavar="ID")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("test_id", type=_decimal, choices=sorted(CASE_TABLE), metavar="ID")
+    p.add_argument("--seed", type=_decimal, default=DEFAULT_SEED)
     p.add_argument("--out", help="write the instance here instead of stdout")
 
     p = sub.add_parser("bench", help="time the algorithms over generated cases")
     p.add_argument("--tests", default="1-15", help="comma list with ranges, e.g. 1,2,5-8")
     p.add_argument("--mode", choices=("once", "per-arc"), default="once")
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--reps", type=_decimal, default=3)
+    p.add_argument("--seed", type=_decimal, default=DEFAULT_SEED)
     p.add_argument("--csv", help="write the CSV here instead of stdout")
 
     p = sub.add_parser("oracle", help="exact brute-force optimum of an instance file")

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .bits import bit_positions, check_table_bytes
+from .bits import bit_positions, check_slots
 from .errors import (
     AmountError,
     ContractError,
@@ -75,17 +75,6 @@ def _check_range(balances: Iterable[Money]) -> np.dtype:
     raise MoneyOverflowError("balances would exceed the signed 64-bit range")
 
 
-def _check_table(k: int) -> None:
-    """Refuse a live table of ``2^k`` sums over the table budget.
-
-    Entries are counted at 8 bytes, the int64 width, whatever the width
-    the balances need: so the admitted k does not depend on the
-    balances, and an arc that widens the table is never refused by the
-    budget.
-    """
-    check_table_bytes(8 << k, "the sums table")
-
-
 class SubsetSumEngine:
     """Net balances plus subset sums over the nonzero-balance nodes.
 
@@ -98,11 +87,12 @@ class SubsetSumEngine:
     entries are int16, int32 or int64, the narrowest width whose range
     holds both totals of the balances.  An arc whose totals outgrow the
     width replaces the table with a wider one, rewritten whole; only a
-    batch rebuild replaces it with a narrower one.  The table budget is
-    the one bound on k: a k whose live table would exceed
-    ``bits.TABLE_BYTES_MAX`` (128 MiB by default, so k <= 24), counting 8
-    bytes per entry, is refused with ``CapacityError`` before anything
-    changes or is allocated.
+    batch rebuild replaces it with a narrower one.  ``bits.SLOTS_MAX``
+    (24) is the one bound on k: an arc or rebuild that would leave more
+    nonzero balances is refused with ``CapacityError`` before anything
+    changes or is allocated, whatever width the balances need.  At the
+    bound the table holds at most 128 MiB (int64) and the zero mask
+    16 MiB.
 
     The zero mask, one ``bool`` per live mask (``2^k`` bytes), lives from
     the first ``zero_sets`` or ``zero_bits`` after a write to the next
@@ -186,14 +176,11 @@ class SubsetSumEngine:
 
         One bit per live mask, set where the live table is zero, bit 0
         (the empty set) cleared: ``max(1, 2^k / 64)`` ``uint64`` words,
-        checked against the table budget before they are allocated.  They
-        are packed from the same zero mask as ``zero_sets``, so a read
-        after a read of the same state does not scan the table again.
+        2 MiB at the bound ``bits.SLOTS_MAX``, which the admitted k keeps.
+        They are packed from the same zero mask as ``zero_sets``, so a
+        read after a read of the same state does not scan the table again.
         """
-        k = len(self._node_of_slot)
-        nbytes = 8 * max(1, (1 << k) >> 6)
-        check_table_bytes(nbytes, "the packed zero sets")
-        packed = np.zeros(nbytes, dtype=np.uint8)
+        packed = np.zeros(8 * max(1, (1 << len(self._node_of_slot)) >> 6), dtype=np.uint8)
         bits = np.packbits(self._zero_mask(), bitorder="little")
         packed[: len(bits)] = bits
         packed[0] &= 0xFE
@@ -209,7 +196,7 @@ class SubsetSumEngine:
         returns to zero hands its slot to the node in the top slot, which
         is dropped.  Returns the lowest slot whose balance or node changed
         (a dropped top slot counts as its own number).  Callers check the
-        table budget first.
+        slot bound first.
         """
         if d == 0:
             del self._debts[u]
@@ -258,7 +245,7 @@ class SubsetSumEngine:
         """Record that ``u`` must pay ``x`` to ``v`` and repair the sums.
 
         ``x`` must be a positive ``int``.  Both signs of the int64 range
-        and the table budget are checked on the prospective balances
+        and the slot bound are checked on the prospective balances
         before anything changes, so a rejected arc leaves the engine, and
         its table's width, as they were.  An endpoint whose balance
         returns to zero leaves its slot first (``v`` first when both do),
@@ -279,7 +266,8 @@ class SubsetSumEngine:
         new_v = dv - x
         dtype = _check_range({**self._debts, u: new_u, v: new_v}.values())
         # an endpoint that settles frees its slot before a fresh one takes it
-        _check_table(self.vstar_size + (du == 0) + (dv == 0) - (new_u == 0) - (new_v == 0))
+        k = self.vstar_size + (du == 0) + (dv == 0) - (new_u == 0) - (new_v == 0)
+        check_slots(k, "the sums table")
 
         ends = [(u, new_u), (v, new_v)]
         if not new_v:
@@ -292,7 +280,7 @@ class SubsetSumEngine:
     def rebuild_from_debts(self, debts: Mapping[NodeId, Money]) -> None:
         """Reset the engine to the given balances in one batch pass.
 
-        Every balance must be an ``int``; that, the table budget and both
+        Every balance must be an ``int``; that, the slot bound and both
         signs of the int64 range are checked, in that order, before
         anything changes.  Nonzero-balance nodes then take slots in
         ascending node order, and ``_refresh(0)`` fills a fresh table in
@@ -304,7 +292,7 @@ class SubsetSumEngine:
                 raise AmountError(f"balance must be an integer, got {d!r}")
         nonzero = sorted((u, d) for u, d in debts.items() if d != 0)
         k = len(nonzero)
-        _check_table(k)
+        check_slots(k, "the sums table")
         dtype = _check_range(d for _, d in nonzero)
 
         self._sums = np.zeros(1, dtype=dtype)

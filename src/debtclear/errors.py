@@ -22,10 +22,11 @@ class MoneyOverflowError(DebtClearError):
 
 
 class CapacityError(DebtClearError):
-    """A table would exceed the table budget ``bits.TABLE_BYTES_MAX``.
+    """A table would span more than ``bits.SLOTS_MAX`` (24) slots.
 
-    Raised before anything is allocated; for the sums table this bounds
-    the number of nonzero-balance nodes (24 under the default budget).
+    Raised before anything changes or is allocated: an arc or rebuild that
+    would leave more nonzero balances, a departure whose level bitsets
+    would span more slots, or a packed mask set wider than the bound.
     """
 
 

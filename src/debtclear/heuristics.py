@@ -68,8 +68,8 @@ def clear_non_atomic(zero_sets: np.ndarray) -> np.ndarray:
     containing a member; the survivors are Z and not strictUp(Z).  An
     array of fewer than two members has nothing to prune.  Raises
     ``ContractError`` unless the array is strictly ascending and
-    positive, and ``CapacityError`` before allocating a bitset over the
-    table budget.
+    positive, and ``CapacityError`` before allocating a bitset wider than
+    ``bits.SLOTS_MAX``.
     """
     check_masks(zero_sets)
     if len(zero_sets) < 2:

@@ -51,7 +51,7 @@ from .bits import (
     MASK_DTYPE,
     bit_positions,
     check_masks,
-    check_table_bytes,
+    check_slots,
     packed_member,
     strict_up,
     unpack_masks,
@@ -141,10 +141,11 @@ def min_removal_set(zero: np.ndarray, k: int, u_slot: int) -> int:
     partition of the live mask ``2^k - 1`` can afford to settle now.
 
     ``zero`` is the packed set of every nonempty zero set below ``2^k``
-    (``SubsetSumEngine.zero_bits``).  Returns the zero set P containing
-    ``u_slot`` with ``h(live \\ P) = h(live) - 1`` of minimum cardinality,
-    ties to the numerically smallest mask.  Those P are ``live ^ C`` for
-    the zero sets C without ``u_slot`` of the largest h, because
+    (``SubsetSumEngine.zero_bits``), ``max(1, 2^k / 64)`` words.  Returns
+    the zero set P containing ``u_slot`` with ``h(live \\ P) = h(live) - 1``
+    of minimum cardinality, ties to the numerically smallest mask.  Those
+    P are ``live ^ C`` for the zero sets C without ``u_slot`` of the
+    largest h, because
 
         h(live) = 1 + max h(C) over the zero sets C inside live without u,
 
@@ -152,9 +153,13 @@ def min_removal_set(zero: np.ndarray, k: int, u_slot: int) -> int:
     the part holding u can be dropped from an optimal partition of live
     (<=).  The levels of these C (see the module docstring) take
     h(live) - 1 closures; when no zero set avoids ``u_slot`` the live mask
-    is the answer, and no level is built.  Raises ``CapacityError`` before
-    the level bitsets would exceed the table budget.
+    is the answer, and no level is built.  Raises ``ContractError`` for a
+    negative ``k`` or a ``zero`` of any other length, and
+    ``CapacityError``, before the level bitsets are built, when ``k`` is
+    over ``bits.SLOTS_MAX``.
     """
+    if k < 0 or len(zero) != max(1, (1 << k) >> 6):
+        raise ContractError(f"{len(zero)} words cannot hold the zero sets below 2^{k}")
     live = (1 << k) - 1
     if not live & 1 << u_slot:
         raise ContractError(f"slot {u_slot} is not in the live mask")
@@ -163,7 +168,7 @@ def min_removal_set(zero: np.ndarray, k: int, u_slot: int) -> int:
     free = without_slot(zero, u_slot)  # A'_1
     if not free.any():
         return live
-    check_table_bytes(3 * zero.nbytes, "the departure's level bitsets")
+    check_slots(k, "the departure's level bitsets")
     level = free
     while True:
         up = strict_up(level, k)

@@ -308,7 +308,7 @@ def test_run_benchmark_per_arc_heuristic_reduction():
 
 
 def test_run_benchmark_capacity_warning(monkeypatch):
-    monkeypatch.setattr(bits, "TABLE_BYTES_MAX", 8 << 2)  # two slots of sums
+    monkeypatch.setattr(bits, "SLOTS_MAX", 2)
     report = run_benchmark([CaseSpec(4)], repetitions=1)
     assert report.rows == []
     assert len(report.warnings) == 1 and "test 4" in report.warnings[0]

@@ -4,7 +4,7 @@ import pytest
 from debtclear import CapacityError
 from debtclear.bits import (
     bit_positions,
-    check_table_bytes,
+    check_slots,
     pack_masks,
     packed_member,
     strict_up,
@@ -52,7 +52,7 @@ def test_without_slot_matches_brute_force(width):
 
 
 def test_table_budget_fits_default_capacity():
-    # the default budget holds the int64 sums of 24 slots and no more
-    check_table_bytes(8 << 24, "table")
+    # the default bound admits 24 slots and no more
+    check_slots(24, "table")
     with pytest.raises(CapacityError):
-        check_table_bytes((8 << 24) + 1, "table")
+        check_slots(25, "table")

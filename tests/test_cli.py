@@ -70,6 +70,30 @@ def test_gen_seed_changes_random_case(capsys):
     assert a != b
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "٣"],  # an Arabic-Indic three, which int() takes
+        ["gen", "3", "--seed", "٥"],
+        ["gen", "+3"],
+        ["bench", "--reps", "١"],
+        ["gen", "16"],  # ASCII, but no such case
+    ],
+)
+def test_numeric_arguments_are_ascii_decimal(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: argument" in err
+
+
+def test_bench_test_list_is_ascii_decimal(capsys):
+    assert main(["bench", "--tests", "1_0"]) == 2  # int() reads 10
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: malformed")
+
+
 def test_gen_then_solve_pipeline(tmp_path, capsys):
     case = tmp_path / "case2.txt"
     assert main(["gen", "2", "--out", str(case)]) == 0

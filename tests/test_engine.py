@@ -65,7 +65,7 @@ def test_freed_slot_is_reused():
 
 
 def test_capacity_error_leaves_state_unchanged(monkeypatch):
-    monkeypatch.setattr(bits, "TABLE_BYTES_MAX", 8 << 2)  # two slots of sums
+    monkeypatch.setattr(bits, "SLOTS_MAX", 2)
     eng = SubsetSumEngine()
     eng.apply_arc_delta(1, 2, 7)
     before = engine_digest(eng)
@@ -75,7 +75,7 @@ def test_capacity_error_leaves_state_unchanged(monkeypatch):
 
 
 def test_capacity_counts_an_endpoint_that_settles(monkeypatch):
-    monkeypatch.setattr(bits, "TABLE_BYTES_MAX", 8 << 2)  # two slots of sums
+    monkeypatch.setattr(bits, "SLOTS_MAX", 2)
     eng = SubsetSumEngine()
     eng.apply_arc_delta(1, 2, 5)
     eng.apply_arc_delta(3, 1, 5)  # node 1 settles as node 3 enters: still two slots
@@ -171,7 +171,7 @@ def test_rebuild_rejects_non_int_balances(debts):
 
 
 def test_table_budget_boundary(monkeypatch):
-    monkeypatch.setattr(bits, "TABLE_BYTES_MAX", 8 << 3)  # three slots of sums
+    monkeypatch.setattr(bits, "SLOTS_MAX", 3)
     eng = SubsetSumEngine()
     eng.apply_arc_delta(10, 11, 2)
     eng.apply_arc_delta(11, 12, 1)
@@ -256,20 +256,20 @@ def test_arcs_widen_the_table_and_rebuild_narrows_it():
 
 
 @pytest.mark.parametrize(
-    "start, arc, error, budget",
+    "start, arc, error, slots",
     [
         (5, (3, 4, 2**63 - 1), MoneyOverflowError, None),
         (I16, (3, 4, 2**63 - 1), MoneyOverflowError, None),
         (I32, (3, 4, 2**63 - I32), MoneyOverflowError, None),
-        (5, (3, 4, I16), CapacityError, 8 << 2),
-        (I16, (3, 4, I32), CapacityError, 8 << 2),
+        (5, (3, 4, I16), CapacityError, 2),
+        (I16, (3, 4, I32), CapacityError, 2),
     ],
 )
-def test_refused_arc_keeps_the_width(monkeypatch, start, arc, error, budget):
+def test_refused_arc_keeps_the_width(monkeypatch, start, arc, error, slots):
     eng = SubsetSumEngine()
     eng.apply_arc_delta(1, 2, start)
-    if budget is not None:
-        monkeypatch.setattr(bits, "TABLE_BYTES_MAX", budget)  # two slots of sums
+    if slots is not None:
+        monkeypatch.setattr(bits, "SLOTS_MAX", slots)
     dtype, before = eng._sums.dtype, engine_digest(eng)
     with pytest.raises(error):
         eng.apply_arc_delta(*arc)
@@ -423,11 +423,11 @@ def test_rebuild_dense_array_values():
 
 
 def test_rebuild_capacity_check(monkeypatch):
-    monkeypatch.setattr(bits, "TABLE_BYTES_MAX", 8 << 2)  # two slots of sums
+    monkeypatch.setattr(bits, "SLOTS_MAX", 2)
     eng = SubsetSumEngine()
     with pytest.raises(CapacityError):
         eng.rebuild_from_debts({1: 1, 2: 1, 3: -2})
-    with pytest.raises(CapacityError):  # the budget is checked before the range
+    with pytest.raises(CapacityError):  # the slot bound is checked before the range
         eng.rebuild_from_debts({1: 2**62, 2: 2**62, 3: -1})
 
 
@@ -480,21 +480,21 @@ def read_zero_mask(eng):
 
 
 @pytest.mark.parametrize(
-    "arc, error, budget",
+    "arc, error, slots",
     [
         ((1, 1, 5), LoopError, None),
         ((1, 3, 0), AmountError, None),
         ((1, 3, 2.5), AmountError, None),
         ((3, 4, 2**63 - 1), MoneyOverflowError, None),
-        ((3, 4, 1), CapacityError, 8 << 3),  # three slots of sums
+        ((3, 4, 1), CapacityError, 3),
     ],
 )
-def test_refused_arc_keeps_the_zero_mask(monkeypatch, arc, error, budget):
+def test_refused_arc_keeps_the_zero_mask(monkeypatch, arc, error, slots):
     eng = SubsetSumEngine()
     eng.rebuild_from_debts({1: 4, 2: -4, 5: 3, 6: -3})
     mask = read_zero_mask(eng)
-    if budget is not None:
-        monkeypatch.setattr(bits, "TABLE_BYTES_MAX", budget)
+    if slots is not None:
+        monkeypatch.setattr(bits, "SLOTS_MAX", slots)
     with pytest.raises(error):
         eng.apply_arc_delta(*arc)
     assert eng._zero is mask

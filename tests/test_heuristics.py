@@ -161,8 +161,12 @@ def test_clear_non_atomic_matches_brute_force(masks):
 def test_clear_non_atomic_refuses_wide_bitset(monkeypatch):
     with pytest.raises(CapacityError):
         clear_non_atomic(zsl(1 << 40, (1 << 40) | 1))
-    # a 9-bit list packs into 64 bytes, a 10-bit one into 128
-    monkeypatch.setattr(bits, "TABLE_BYTES_MAX", 64)
+    # the default bound admits a 24-bit list's bitset and no wider one
+    assert list(clear_non_atomic(zsl(1 << 23, (1 << 23) | 1))) == [1 << 23]
+    for width in range(25, 31):
+        with pytest.raises(CapacityError):
+            clear_non_atomic(zsl(1 << (width - 1), (1 << (width - 1)) | 1))
+    monkeypatch.setattr(bits, "SLOTS_MAX", 9)
     assert list(clear_non_atomic(zsl(1 << 8, (1 << 8) | 1))) == [1 << 8]
     with pytest.raises(CapacityError):
         clear_non_atomic(zsl(1 << 9, (1 << 9) | 1))

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from debtclear import bits, ledger as ledger_mod
@@ -64,7 +66,7 @@ def test_insert_arc_cancellation():
 
 
 def test_insert_arc_errors_are_distinct(monkeypatch):
-    monkeypatch.setattr(bits, "TABLE_BYTES_MAX", 8 << 2)  # two slots of sums
+    monkeypatch.setattr(bits, "SLOTS_MAX", 2)
     led = Ledger()
     a, b, c = led.insert_node(), led.insert_node(), led.insert_node()
     with pytest.raises(LoopError):
@@ -211,10 +213,43 @@ def test_remove_node_over_budget_changes_nothing(monkeypatch):
     led = stream_ledger()
     u = next(w for w, d in led.debts.items() if d)
     before = (engine_digest(led.engine), led.debts, led.live_nodes)
-    monkeypatch.setattr(bits, "TABLE_BYTES_MAX", 8)
+    monkeypatch.setattr(bits, "SLOTS_MAX", led.engine.vstar_size - 1)
     with pytest.raises(CapacityError):
         led.remove_node(u)
     assert (engine_digest(led.engine), led.debts, led.live_nodes) == before
+
+
+def test_default_slot_bound_admits_24_balances_and_refuses_a_25th():
+    # no monkeypatching: 23 powers of two against their total, so no
+    # proper subset sums to zero and the partition DP stays idle
+    arcs = [Borrowing(i, 23, 1 << i) for i in range(23)]
+    plan = solve_static(arcs, 24)
+    assert len(plan.transactions) == 23 and plan_settles(balances_of(arcs), plan)
+
+    led = Ledger()
+    for _ in range(25):
+        led.insert_node()
+    for b in arcs:
+        led.insert_arc(b.borrower, b.lender, b.amount)
+    eng = led.engine
+    assert eng.vstar_size == 24
+    assert len(led.query().transactions) == 23
+
+    def digest():
+        # engine_digest's submask enumeration would take 128 MiB here; the
+        # live mask is the slot prefix, so its sums are hashed as one slice
+        live = hashlib.sha256(eng._sums[: 1 << eng.vstar_size]).digest()
+        return (eng.balances(), eng.node_slots(), live, led.debts, led.live_nodes)
+
+    before = digest()
+    with pytest.raises(CapacityError):
+        led.insert_arc(24, 23, 1)  # node 24 enters and node 23 stays open
+    with pytest.raises(CapacityError):
+        eng.rebuild_from_debts({**led.debts, 24: 1, 23: led.debts[23] - 1})
+    assert digest() == before
+
+    txns = led.remove_node(0)  # no zero set avoids node 0: the whole group
+    assert len(txns) == 23 and eng.vstar_size == 0
 
 
 # ---- query ----------------------------------------------------------------------

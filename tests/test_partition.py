@@ -110,6 +110,20 @@ def test_min_removal_requires_live_slot():
         min_removal_set(eng.zero_bits(), eng.vstar_size, 7)
 
 
+def test_min_removal_refuses_a_zero_array_of_another_length():
+    # max(1, 2^k / 64) words: one below 2^6, 2^(k - 6) from there
+    with pytest.raises(ContractError):
+        min_removal_set(np.zeros(1, np.uint64), 10, 0)  # short
+    with pytest.raises(ContractError):
+        min_removal_set(np.zeros(1, np.uint64), -1, 0)  # no length fits
+    eng = remove_fixture()
+    zero = eng.zero_bits()
+    with pytest.raises(ContractError):
+        min_removal_set(np.concatenate([zero, zero]), eng.vstar_size, 3)  # long
+    with pytest.raises(ContractError):
+        min_removal_set(zero[:0], eng.vstar_size, 3)  # empty
+
+
 def test_min_removal_satisfies_dp_identity():
     for seed in range(25):
         n, arcs = random_instance(seed, max_n=9, max_m=18, max_w=5)
@@ -173,8 +187,8 @@ def test_min_removal_matches_brute_force(vals, data):
 
 def test_min_removal_without_proper_zero_subset_is_live(monkeypatch):
     # no proper subset of {1, 2, -3} sums to zero, so no zero set avoids
-    # the leaver: the early exit, with no closure and before the budget
-    # of the level bitsets
+    # the leaver: the early exit, with no closure and before the slot
+    # bound of the level bitsets
     def no_closure(*args):
         raise AssertionError("strict_up called")
 
@@ -182,7 +196,7 @@ def test_min_removal_without_proper_zero_subset_is_live(monkeypatch):
     eng = SubsetSumEngine()
     eng.rebuild_from_debts({0: 1, 1: 2, 2: -3})
     zero = eng.zero_bits()
-    monkeypatch.setattr(bits, "TABLE_BYTES_MAX", zero.nbytes)
+    monkeypatch.setattr(bits, "SLOTS_MAX", 2)
     for slot in range(3):
         assert min_removal_set(zero, 3, slot) == 0b111
 
@@ -212,7 +226,7 @@ def test_min_removal_builds_one_level_fewer_than_the_parts(vals, data):
 def test_min_removal_level_bitsets_count_against_budget(monkeypatch):
     eng = remove_fixture()
     zero = eng.zero_bits()
-    monkeypatch.setattr(bits, "TABLE_BYTES_MAX", zero.nbytes)
+    monkeypatch.setattr(bits, "SLOTS_MAX", eng.vstar_size - 1)
     with pytest.raises(CapacityError):
         min_removal_set(zero, eng.vstar_size, 3)
 

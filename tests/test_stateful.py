@@ -96,7 +96,7 @@ class LedgerMachine(RuleBasedStateMachine):
     @rule(i=st.integers(0, 63), x=st.integers(1, 8))
     def insert_arc_over_table_budget(self, i, x):
         # a zero-balance node enters while the other endpoint stays live,
-        # so the table would need one more slot than the budget allows
+        # so the table would need one more slot than the bound allows
         debts = self.led.debts
         u = min(w for w, d in debts.items() if d == 0)
         v = self.pick(i)
@@ -106,13 +106,13 @@ class LedgerMachine(RuleBasedStateMachine):
             x += 1
         eng = self.led.engine
         before = engine_digest(eng)
-        saved = bits.TABLE_BYTES_MAX
-        bits.TABLE_BYTES_MAX = 8 << eng.vstar_size
+        saved = bits.SLOTS_MAX
+        bits.SLOTS_MAX = eng.vstar_size
         try:
             with pytest.raises(CapacityError):
                 self.led.insert_arc(u, v, x)
         finally:
-            bits.TABLE_BYTES_MAX = saved
+            bits.SLOTS_MAX = saved
         assert engine_digest(eng) == before
 
     @precondition(two_live)
