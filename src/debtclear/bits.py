@@ -25,8 +25,8 @@ MASK_DTYPE = np.int64
 
 # the one bound on k: every array over a table state has one entry or one
 # bit per mask below 2^k, so at k = 24 the state holds at most 128 MiB of
-# int64 sums, the 16 MiB zero mask and 2 MiB per packed bitset; read at
-# call time, so a test can lower it
+# sums (int64; 16 MiB as int8), the 16 MiB zero mask and 2 MiB per packed
+# bitset; read at call time, so a test can lower it
 SLOTS_MAX = 24
 
 # _LOW[j] marks the in-word positions b (0..63) whose mask has slot j clear

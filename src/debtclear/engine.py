@@ -18,11 +18,14 @@ entries, each step one contiguous pass; a batch rebuild is the same run
 from j0 = 0.
 
 The refresh is bound by memory bandwidth, so the array is held in the
-narrowest of int16, int32 and int64 whose range holds both the positive
-and the negative total of the balances (``_check_range``).  Every subset
-sum lies between those totals, so no entry can wrap.  The balances are
-added as Python ints, which numpy 2's weak scalars (NEP 50) take at the
-array's width; each balance lies in that width's range.
+narrowest of int8, int16, int32 and int64 whose range holds both the
+positive and the negative total of the balances (``_check_range``).
+Every subset sum lies between those totals, so no entry can wrap.  A
+refresh from slot 0 rewrites every entry anyway, so it takes exactly
+that width; one from a higher slot keeps the width unless the balances
+need a wider one.  The balances are added as Python ints, which numpy
+2's weak scalars (NEP 50) take at the array's width; each balance lies
+in that width's range.
 """
 
 from __future__ import annotations
@@ -45,13 +48,13 @@ from .model import Money, NodeId, _check_amount
 # the range check runs on every arc and makes no numpy call
 _WIDTHS = tuple(
     (np.dtype(t), int(np.iinfo(t).min), int(np.iinfo(t).max))
-    for t in (np.int16, np.int32, np.int64)
+    for t in (np.int8, np.int16, np.int32, np.int64)
 )
 
 
-def _new_table(n: int, dtype: np.dtype) -> np.ndarray:
-    """An uninitialised table of ``n`` entries of ``dtype``."""
-    return np.empty(n, dtype=dtype)
+def _new_table(nbytes: int) -> np.ndarray:
+    """An uninitialised raw table buffer of ``nbytes`` bytes."""
+    return np.empty(nbytes, dtype=np.uint8)
 
 
 def _check_range(balances: Iterable[Money]) -> np.dtype:
@@ -80,19 +83,19 @@ class SubsetSumEngine:
 
     The k nodes with a nonzero balance hold slots 0..k-1;
     ``_set_balance`` alone enters and leaves slots, and ``_refresh``
-    alone writes sums, once per mutating call.  The live sums are the
-    first ``2^k`` entries of an allocation that grows to ``2^k`` when k
-    outgrows it and never shrinks as balances settle, so it holds ``2^w``
-    entries, w being the peak k since the table was last replaced.  Its
-    entries are int16, int32 or int64, the narrowest width whose range
-    holds both totals of the balances.  An arc whose totals outgrow the
-    width replaces the table with a wider one, rewritten whole; only a
-    batch rebuild replaces it with a narrower one.  ``bits.SLOTS_MAX``
-    (24) is the one bound on k: an arc or rebuild that would leave more
-    nonzero balances is refused with ``CapacityError`` before anything
-    changes or is allocated, whatever width the balances need.  At the
-    bound the table holds at most 128 MiB (int64) and the zero mask
-    16 MiB.
+    alone writes sums, once per mutating call.  The live sums, ``_sums``,
+    view the first ``2^k`` entries of one raw byte buffer, which grows
+    when the live table outgrows it and never shrinks, so a change of
+    width or a batch rebuild allocates nothing when it fits.  The entries
+    are int8, int16, int32 or int64.  Every rewrite from slot 0 (an arc
+    or departure that changes slot 0, a widening, a batch rebuild) takes
+    the narrowest width whose range holds both totals of the balances;
+    any other keeps the width unless the totals outgrow it, which makes
+    it a rewrite from slot 0.  ``bits.SLOTS_MAX`` (24) is the one bound on
+    k: an arc or rebuild that would leave more nonzero balances is
+    refused with ``CapacityError`` before anything changes or is
+    allocated, whatever width the balances need.  At the bound the table
+    holds at most 128 MiB (int64) and the zero mask 16 MiB.
 
     The zero mask, one ``bool`` per live mask (``2^k`` bytes), lives from
     the first ``zero_sets`` or ``zero_bits`` after a write to the next
@@ -101,7 +104,8 @@ class SubsetSumEngine:
     """
 
     def __init__(self) -> None:
-        self._sums = np.zeros(1, dtype=_WIDTHS[0][0])
+        self._buf = np.zeros(1, dtype=np.uint8)
+        self._sums = self._buf.view(np.int8)
         self._zero: np.ndarray | None = None
         self._node_of_slot: list[NodeId] = []
         self._slot_of_node: dict[NodeId, int] = {}
@@ -129,6 +133,11 @@ class SubsetSumEngine:
         """
         return self._touched_last
 
+    @property
+    def table_bytes(self) -> int:
+        """Bytes of the live sums table at its width: ``2^k`` entries."""
+        return self._sums.itemsize << len(self._node_of_slot)
+
     def debt(self, u: NodeId) -> Money:
         return self._debts.get(u, 0)
 
@@ -147,7 +156,7 @@ class SubsetSumEngine:
         """Sum of balances over the slots in ``mask``.
 
         Only masks contained in the live mask are defined; anything else
-        may read an entry left over from a wider table and is rejected.
+        lies outside the live table and is rejected.
         """
         if mask & ~self.live_mask:
             raise StaleMaskError(f"mask {mask:#x} is not contained in the live mask")
@@ -157,7 +166,7 @@ class SubsetSumEngine:
         """``sums[:2^k] == 0``, computed by the first read after a write."""
         zero = self._zero
         if zero is None:
-            zero = self._zero = self._sums[: 1 << len(self._node_of_slot)] == 0
+            zero = self._zero = self._sums == 0
         return zero
 
     def zero_sets(self) -> np.ndarray:
@@ -218,23 +227,28 @@ class SubsetSumEngine:
 
         Runs the doubling step ``sums[2^j : 2^(j+1)] = sums[:2^j] + d_j``
         for j = j0..k-1; the entries below ``2^j0`` must already be exact.
-        ``dtype`` is the width the balances need: when it is wider than
-        the table's, the refresh runs from j0 = 0 into a wider table.  A
-        table shorter than ``2^k`` is first replaced by one of ``2^k``
-        entries, of the same width, that takes over only that prefix.
+        ``dtype`` is the narrowest width the balances need.  A refresh from
+        j0 = 0 takes it; one from j0 > 0 keeps the table's width, unless
+        ``dtype`` is wider and the refresh runs from j0 = 0 instead.  A
+        buffer too short for ``2^k`` entries is replaced by one of exactly
+        that size, which takes over only the entries below ``2^j0``.
         Returns the entries written, ``2^k - 2^j0``, and drops the zero
         mask of the old state.
         """
         self._zero = None
-        if dtype.itemsize > self._sums.itemsize:
-            # only the empty set's sum, 0, is kept
-            self._sums, j0 = self._sums[:1].astype(dtype), 0
-        k = len(self._node_of_slot)
-        if len(self._sums) < 1 << k:
-            sums = _new_table(1 << k, self._sums.dtype)
-            sums[: 1 << j0] = self._sums[: 1 << j0]
-            self._sums = sums
-        sums = self._sums
+        sums, k = self._sums, len(self._node_of_slot)
+        if j0 and dtype.itemsize <= sums.itemsize:
+            dtype, kept = sums.dtype, sums.itemsize << j0
+        else:
+            j0 = kept = 0
+        if len(sums) != 1 << k or sums.dtype != dtype:
+            nbytes = dtype.itemsize << k
+            if len(self._buf) < nbytes:
+                buf = _new_table(nbytes)
+                buf[:kept] = self._buf[:kept]
+                self._buf = buf
+            sums = self._sums = self._buf[:nbytes].view(dtype)
+        sums[0] = 0  # the empty set; the buffer may hold anything
         for j in range(j0, k):
             np.add(sums[: 1 << j], self._debts[self._node_of_slot[j]], out=sums[1 << j : 2 << j])
         return (1 << k) - (1 << j0)
@@ -253,8 +267,8 @@ class SubsetSumEngine:
         ``_refresh`` from the lowest slot j0 that changed then writes
         ``2^k - 2^j0`` sums: an arc between the two top slots writes
         ``3 * 2^(k - 2)``, and one whose endpoint holds slot 0 rewrites
-        the whole table, as does one whose totals outgrow the table's
-        width.
+        the whole table in the narrowest width, as does one whose totals
+        outgrow the table's width.
         """
         if u == v:
             raise LoopError(f"arc from node {u} to itself")
@@ -283,9 +297,8 @@ class SubsetSumEngine:
         Every balance must be an ``int``; that, the slot bound and both
         signs of the int64 range are checked, in that order, before
         anything changes.  Nonzero-balance nodes then take slots in
-        ascending node order, and ``_refresh(0)`` fills a fresh table in
+        ascending node order, and ``_refresh(0)`` rewrites the table in
         the narrowest width the balances need, writing ``2^k - 1`` sums.
-        This is the one call that narrows the table.
         """
         for d in debts.values():
             if type(d) is not int:
@@ -295,7 +308,6 @@ class SubsetSumEngine:
         check_slots(k, "the sums table")
         dtype = _check_range(d for _, d in nonzero)
 
-        self._sums = np.zeros(1, dtype=dtype)
         self._node_of_slot = []
         self._slot_of_node = {}
         self._debts = {}
@@ -313,9 +325,11 @@ class SubsetSumEngine:
         numbers, and a slot whose higher neighbours were all in ``mask``
         is the top when freed; any other freed slot takes over the top
         slot's node.  One ``_refresh`` from the lowest freed slot j0 then
-        writes ``2^k - 2^j0`` sums, none when ``mask`` is the top block.
+        writes ``2^k - 2^j0`` sums, none when ``mask`` is the top block,
+        and the whole table in the narrowest width when j0 is 0.
         """
         if mask & ~self.live_mask:
             raise ContractError(f"mask {mask:#x} is not contained in the live mask")
         freed = [self._set_balance(self._node_of_slot[s], 0) for s in reversed(bit_positions(mask))]
-        self._touched_last = self._refresh(min(freed, default=self.vstar_size), self._sums.dtype)
+        j0 = min(freed, default=self.vstar_size)
+        self._touched_last = self._refresh(j0, _check_range(self._debts.values()))

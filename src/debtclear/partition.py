@@ -161,7 +161,7 @@ def min_removal_set(zero: np.ndarray, k: int, u_slot: int) -> int:
     if k < 0 or len(zero) != max(1, (1 << k) >> 6):
         raise ContractError(f"{len(zero)} words cannot hold the zero sets below 2^{k}")
     live = (1 << k) - 1
-    if not live & 1 << u_slot:
+    if not 0 <= u_slot < k:
         raise ContractError(f"slot {u_slot} is not in the live mask")
     if not packed_member(zero, np.array([live]))[0]:
         raise ContractError("the live mask is not a zero set")

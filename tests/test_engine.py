@@ -205,7 +205,7 @@ def test_default_budget_refuses_a_25th_balance():
 
 # ---- table width ---------------------------------------------------------
 
-I16, I32 = 2**15, 2**31
+I8, I16, I32 = 2**7, 2**15, 2**31
 
 
 @pytest.mark.parametrize(
@@ -224,6 +224,12 @@ I16, I32 = 2**15, 2**31
         ({0: 20000, 1: I16 - 20000, 2: -5}, np.int32),
         ({0: 5, 1: -I32 + 5, 2: -5}, np.int32),
         ({0: 5, 1: -I32 + 5, 2: -6}, np.int64),
+        ({0: I8 - 1}, np.int8),
+        ({0: I8}, np.int16),
+        ({0: -I8}, np.int8),
+        ({0: -I8 - 1}, np.int16),
+        ({0: 100, 1: I8 - 1 - 100, 2: -I8}, np.int8),
+        ({0: 100, 1: I8 - 100, 2: -5}, np.int16),
     ],
 )
 def test_width_edges(balances, dtype):
@@ -231,6 +237,26 @@ def test_width_edges(balances, dtype):
     eng.rebuild_from_debts(balances)
     assert eng._sums.dtype == dtype and audit_sums(eng)
     assert eng.subset_sum(eng.live_mask) == sum(balances.values())
+    assert eng.table_bytes == np.dtype(dtype).itemsize << len(balances)
+
+
+@pytest.mark.parametrize(
+    "balances, table_bytes",
+    [
+        ({0: I8 - 1, 1: -I8}, 4),  # 2^2 entries of one byte
+        ({0: I8, 1: -I8}, 8),
+        ({0: I16 - 1, 1: -I16}, 8),
+        ({0: I16, 1: -I16}, 16),
+        ({0: I32 - 1, 1: -I32}, 16),
+        ({0: I32, 1: -I32}, 32),
+        ({0: 2**63 - 1, 1: -(2**63)}, 32),
+        ({}, 1),  # the empty set's sum alone
+    ],
+)
+def test_table_bytes_count_the_live_table_at_its_width(balances, table_bytes):
+    eng = SubsetSumEngine()
+    eng.rebuild_from_debts(balances)
+    assert eng.table_bytes == table_bytes == eng._sums.nbytes
 
 
 def test_arcs_widen_the_table_and_rebuild_narrows_it():
@@ -241,7 +267,7 @@ def test_arcs_widen_the_table_and_rebuild_narrows_it():
         ((1, 5, 1), np.int32, 2**5 - 1),  # positive total 2^15
         ((6, 7, I32 - 1 - I16), np.int32, 2**7 - 2**5),
         ((6, 8, 1), np.int64, 2**8 - 1),  # node 6 holds slot 5, yet all is rewritten
-        ((7, 6, I32 - 1 - I16), np.int64, 2**7 - 2**5),  # never narrows on an arc
+        ((7, 6, I32 - 1 - I16), np.int64, 2**7 - 2**5),  # from slot 5: keeps int64
     ]
     eng = SubsetSumEngine()
     for (u, v, x), dtype, touched in steps:
@@ -277,19 +303,65 @@ def test_refused_arc_keeps_the_width(monkeypatch, start, arc, error, slots):
 
 
 def test_python_ints_keep_a_narrow_table_narrow():
-    # the refresh adds Python-int balances into int16 and int32 tables;
-    # numpy 2's weak scalars (NEP 50) keep the table's width, where older
-    # numpy promoted by value
-    t = np.zeros(4, dtype=np.int16)
-    np.add(t[:2], -I16, out=t[2:])
-    assert t.dtype == np.int16 and t.tolist() == [0, 0, -I16, -I16]
-    assert (t[:2] + (I16 - 1)).dtype == np.int16
-    with pytest.raises(OverflowError):
-        t + I16
+    # the refresh adds Python-int balances into int8, int16 and int32
+    # tables; numpy 2's weak scalars (NEP 50) keep the table's width, where
+    # older numpy promoted by value
+    for dtype, edge in ((np.int8, I8), (np.int16, I16)):
+        t = np.zeros(4, dtype=dtype)
+        np.add(t[:2], -edge, out=t[2:])
+        assert t.dtype == dtype and t.tolist() == [0, 0, -edge, -edge]
+        assert (t[:2] + (edge - 1)).dtype == dtype
+        with pytest.raises(OverflowError):
+            t + edge
+        with pytest.raises(OverflowError):
+            t + (-edge - 1)
 
 
-def junk_table(n, dtype):
-    return np.full(n, -12345, dtype=dtype)
+def test_a_refresh_from_slot_0_narrows_the_table():
+    # (arc, width after it, entries written: 2^k - 1 on each rewrite from slot 0)
+    steps = [
+        ((1, 2, 100), np.int8, 2**2 - 1),
+        ((3, 4, 200), np.int16, 2**4 - 1),  # widens, so from slot 0
+        ((4, 3, 180), np.int16, 2**4 - 2**2),  # totals fit int8 again; slot 2 up
+        ((2, 1, 50), np.int8, 2**4 - 1),  # node 1 holds slot 0: narrows
+        ((5, 6, I16), np.int32, 2**6 - 1),
+        ((6, 5, I16), np.int32, 2**4 - 2**4),  # the top two slots are freed
+        ((1, 3, 1), np.int8, 2**4 - 1),
+    ]
+    eng = SubsetSumEngine()
+    for (u, v, x), dtype, touched in steps:
+        eng.apply_arc_delta(u, v, x)
+        assert eng._sums.dtype == dtype and audit_sums(eng)
+        assert eng.last_touched_sums == touched
+
+
+def test_a_departure_from_slot_0_narrows_the_table():
+    eng = SubsetSumEngine()
+    eng.rebuild_from_debts({1: 5, 2: -5, 3: I8, 4: -I8})
+    eng.clear_block(0b1100)  # the top two slots: writes nothing, keeps int16
+    assert eng._sums.dtype == np.int16 and eng.last_touched_sums == 0
+    eng.rebuild_from_debts({1: I8, 2: -I8, 3: 5, 4: -5})
+    eng.clear_block(0b0011)  # from slot 0
+    assert eng._sums.dtype == np.int8 and eng.last_touched_sums == 2**2 - 1
+    assert audit_sums(eng)
+
+
+def test_a_width_change_reuses_the_buffer():
+    # the buffer grows to the widest table yet and is viewed at any width
+    eng = SubsetSumEngine()
+    eng.rebuild_from_debts({u: (-1) ** u * I16 for u in range(8)})
+    wide = eng._sums
+    assert wide.dtype == np.int32 and eng.table_bytes == 4 << 8
+    eng.rebuild_from_debts({u: (-1) ** u for u in range(8)})
+    assert eng._sums.dtype == np.int8 and np.shares_memory(eng._sums, wide)
+    eng.apply_arc_delta(0, 1, I16)  # slot 0: a wider table in the same bytes
+    assert eng._sums.dtype == np.int32 and np.shares_memory(eng._sums, wide)
+    assert audit_sums(eng)
+
+
+def junk_table(nbytes):
+    # 0x9c reads as -100 in int8 and is nonzero at every wider width
+    return np.full(nbytes, 0x9C, dtype=np.uint8)
 
 
 def replay_on_junk_tables(ops):
@@ -311,6 +383,19 @@ def replay_on_junk_tables(ops):
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(1, 9)), max_size=30))
 def test_reused_tables_leave_no_stale_sums(ops):
+    replay_on_junk_tables(ops)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 7), st.sampled_from([1, 9, 60, I8, 300])),
+        max_size=30,
+    )
+)
+def test_reused_tables_leave_no_stale_sums_across_widths(ops):
+    # amounts around the int8 edge switch the width back and forth, and
+    # each switch views the same bytes at another width
     replay_on_junk_tables(ops)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from debtclear import bits, ledger as ledger_mod
@@ -19,7 +20,7 @@ from debtclear import (
     solve_static_with_stats,
 )
 
-from _support import EXAMPLE1, EXAMPLE1_BALANCES, engine_digest, random_instance
+from _support import EXAMPLE1, EXAMPLE1_BALANCES, audit_sums, engine_digest, random_instance
 
 
 def example_ledger(arcs=EXAMPLE1):
@@ -112,6 +113,28 @@ def test_remove_arc_zero_balance_is_noop():
     before = engine_digest(led.engine)
     led.remove_arc(u, v)
     assert engine_digest(led.engine) == before
+
+
+def test_a_stream_ledger_returns_to_int8_in_the_same_buffer():
+    # a large arc widens the table to int16 from slot 0; cancelling it
+    # frees the top slots and keeps int16; the next write to slot 0 narrows
+    # it back to int8 in the bytes the int16 table held
+    led = Ledger()
+    for _ in range(6):
+        led.insert_node()
+    led.insert_arc(0, 1, 5)
+    led.insert_arc(2, 3, 5)
+    led.insert_arc(4, 5, 200)
+    eng = led.engine
+    wide = eng._sums
+    assert wide.dtype == np.int16 and eng.last_touched_sums == 2**6 - 1
+    led.remove_arc(4, 5)
+    assert eng._sums.dtype == np.int16 and eng.last_touched_sums == 0
+    assert len(led.query()) == 2
+    led.insert_arc(0, 1, 1)  # node 0 holds slot 0
+    assert eng._sums.dtype == np.int8 and eng.last_touched_sums == 2**4 - 1
+    assert np.shares_memory(eng._sums, wide) and audit_sums(eng)
+    assert plan_settles(led.debts, led.query())
 
 
 def test_remove_arc_unknown_node():

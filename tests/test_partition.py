@@ -110,6 +110,14 @@ def test_min_removal_requires_live_slot():
         min_removal_set(eng.zero_bits(), eng.vstar_size, 7)
 
 
+@pytest.mark.parametrize("slot", [-1, -64, 2, 64])
+def test_min_removal_refuses_a_slot_outside_the_live_mask(slot):
+    eng = SubsetSumEngine()
+    eng.rebuild_from_debts({1: 2, 2: -2})
+    with pytest.raises(ContractError):
+        min_removal_set(eng.zero_bits(), 2, slot)
+
+
 def test_min_removal_refuses_a_zero_array_of_another_length():
     # max(1, 2^k / 64) words: one below 2^6, 2^(k - 6) from there
     with pytest.raises(ContractError):

@@ -3,7 +3,8 @@
 hypothesis drives one ledger through node and arc insertions,
 cancellations, departures and queries.  After every step the live sums
 table is audited against direct summation and must be wide enough for
-the balance totals, both zero-set views must match a fresh scan of it
+the balance totals, and no wider after a rewrite from slot 0; both
+zero-set views must match a fresh scan of it
 (the engine keeps its zero mask between writes), and the size of the
 ledger's plan is checked against a batch solve of the same balances
 and, up to ORACLE_K balances, against the brute-force oracle.  Refused
@@ -41,6 +42,29 @@ from _support import audit_sums, engine_digest
 
 MAX_NODES = 14
 ORACLE_K = 10
+
+
+def narrowest(debts: dict[int, int]) -> int:
+    """Item size of the narrowest width that holds both balance totals."""
+    pos = sum(d for d in debts.values() if d > 0)
+    neg = sum(d for d in debts.values() if d < 0)
+    return next(
+        t.bits // 8 for t in map(np.iinfo, (np.int8, np.int16, np.int32, np.int64))
+        if t.min <= neg and pos <= t.max
+    )
+
+
+def from_slot_0(eng) -> bool:
+    """Whether the engine's last refresh ran from slot 0: 2^k - 1 writes."""
+    return eng.last_touched_sums == (1 << eng.vstar_size) - 1
+
+
+def width_after(eng, before: int) -> int:
+    """Item size the last refresh must leave, the table's being ``before``:
+    the narrowest from slot 0, else never narrower than before or than
+    the balances need."""
+    need = narrowest(eng.balances())
+    return need if from_slot_0(eng) else max(before, need)
 
 
 def optimum(debts: dict[int, int]) -> int:
@@ -119,27 +143,30 @@ class LedgerMachine(RuleBasedStateMachine):
     @rule(
         i=st.integers(0, 63),
         j=st.integers(0, 63),
-        edge=st.sampled_from([2**15, 2**31]),
+        edge=st.sampled_from([2**7, 2**15, 2**31]),
         step=st.integers(-1, 1),
     )
     def cross_a_table_width(self, i, j, edge, step):
         # an arc from a node owed nothing to one owing nothing raises the
         # positive total by its amount: to edge - 1, edge or edge + 1 of
-        # the int16 or int32 range; cancelling it brings the total back
+        # the int8, int16 or int32 range; cancelling it brings the total
+        # back, and narrows the table again when it rewrites from slot 0
         debts = self.led.debts
         ups = [w for w in sorted(debts) if debts[w] >= 0]
         u = ups[i % len(ups)]
         downs = [w for w in sorted(debts) if debts[w] <= 0 and w != u]
         v = downs[j % len(downs)]
         total = sum(d for d in debts.values() if d > 0)
+        if edge + step <= total:
+            return
         eng = self.led.engine
         width = eng._sums.itemsize
         self.led.insert_arc(u, v, edge + step - total)
-        need = 2 if edge + step < 2**15 else 4 if edge + step < 2**31 else 8
-        assert eng._sums.itemsize == max(width, need)
+        assert eng._sums.itemsize == width_after(eng, width)
+        width = eng._sums.itemsize
         self.led.remove_arc(u, v)
         assert sum(d for d in self.led.debts.values() if d > 0) <= total
-        assert eng._sums.itemsize == max(width, need)  # an arc never narrows it
+        assert eng._sums.itemsize == width_after(eng, width)
 
     @precondition(two_live)
     @rule(i=st.integers(0, 63), j=st.integers(0, 63))
@@ -190,10 +217,13 @@ class LedgerMachine(RuleBasedStateMachine):
         assert audit_sums(eng)
         assert eng.live_mask == (1 << k) - 1
         debts = eng.balances()
-        # every subset sum lies between the two totals
+        # every subset sum lies between the two totals, and a rewrite from
+        # slot 0 takes the narrowest width that holds them
         width = np.iinfo(eng._sums.dtype)
         assert width.min <= sum(d for d in debts.values() if d < 0)
         assert sum(d for d in debts.values() if d > 0) <= width.max
+        if from_slot_0(eng):
+            assert eng._sums.itemsize == narrowest(debts)
         # the kept zero mask is never stale; checked before the query
         # below fills it again, so every rule starts with a kept mask
         scan = np.flatnonzero(eng._sums[: 1 << k] == 0)[1:]
