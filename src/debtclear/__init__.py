@@ -30,7 +30,6 @@ from .errors import (
     UnknownNodeError,
 )
 from .formats import format_plan, format_static, parse_static, run_script
-from .heuristics import clear_non_atomic, clear_pairs
 from .ledger import Ledger, QueryStats, solve_static, solve_static_with_stats
 from .model import (
     Borrowing,
@@ -42,7 +41,7 @@ from .model import (
     plan_settles,
 )
 from .oracle import ORACLE_LIMIT, OracleResult, oracle_max_zero_partition
-from .partition import max_partition, min_removal_set, settle_part
+from .partition import clear_non_atomic, clear_pairs, max_partition, min_removal_set, settle_part
 
 __version__ = "0.1.0"
 

@@ -1,24 +1,28 @@
-"""Bit-mask helpers shared by the engine and the partition solver.
+"""Slot masks, their packed layout and the one bound on the slot count.
 
 Subsets of engine slots are encoded as integers: bit i is set iff slot i
 belongs to the subset.  Masks stay below 63 bits so they always fit in a
 signed 64-bit integer (and therefore in an int64 numpy array).
 
 A set of masks below ``2^width`` can also be held packed, one bit per
-mask, in ``max(1, 2^width / 64)`` ``uint64`` words: mask m is bit
-``m % 64`` of word ``m // 64``.  Slot j < 6 then runs inside every word
-(its partner bits are ``2^j`` apart), and slot j >= 6 pairs whole words
-``2^(j - 6)`` apart, so a pass over one slot is either a masked shift of
-every word or an OR between word runs ``2^(j - 6)`` long, and dropping
-the members that hold slot j either masks every word or clears every
-other run.
+mask, in ``word_count(width)`` = ``max(1, 2^width / 64)`` ``uint64``
+words: mask m is bit ``m % 64`` of word ``m // 64``.  Slot j < 6 then
+runs inside every word (its partner bits are ``2^j`` apart), and slot
+j >= 6 pairs whole words ``2^(j - 6)`` apart, so a pass over one slot is
+either a masked shift of every word or an OR between word runs
+``2^(j - 6)`` long, and dropping the members that hold slot j either
+masks every word or clears every other run.
+
+This module is the one owner of that layout: ``pack_masks`` packs a
+mask array, ``pack_flags`` one flag per mask (the engine's zero mask),
+and ``unpack_masks`` lists the members of either.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError, ContractError
+from .errors import CapacityError
 
 # the dtype of slot masks (never of money: the sums table picks its own width)
 MASK_DTYPE = np.int64
@@ -61,10 +65,9 @@ def check_slots(k: int, what: str) -> None:
         raise CapacityError(f"{what} would span {k} slots, over the bound of {SLOTS_MAX}")
 
 
-def check_masks(masks: np.ndarray) -> None:
-    """Refuse a mask array that is not strictly ascending and positive."""
-    if len(masks) and (masks[0] <= 0 or bool(np.any(masks[1:] <= masks[:-1]))):
-        raise ContractError("masks must be positive and strictly ascending")
+def word_count(width: int) -> int:
+    """The ``uint64`` words of a packed set over the masks below ``2^width``."""
+    return max(1, (1 << width) >> 6)
 
 
 def pack_masks(masks: np.ndarray, width: int) -> np.ndarray:
@@ -74,9 +77,21 @@ def pack_masks(masks: np.ndarray, width: int) -> np.ndarray:
     ``SLOTS_MAX``.
     """
     check_slots(width, "a packed mask set")
-    words = np.zeros(max(1, (1 << width) >> 6), dtype=np.uint64)
+    words = np.zeros(word_count(width), dtype=np.uint64)
     np.bitwise_or.at(words, masks >> 6, np.left_shift(np.uint64(1), (masks & 63).astype(np.uint64)))
     return words
+
+
+def pack_flags(flags: np.ndarray) -> np.ndarray:
+    """Packed set of the masks m below ``2^width`` whose ``flags[m]`` is set.
+
+    ``flags`` holds one ``bool`` per mask, ``2^width`` in all; under 64
+    masks, the one word is padded with zero bits.
+    """
+    packed = np.zeros(8 * word_count(len(flags).bit_length() - 1), dtype=np.uint8)
+    bits = np.packbits(flags, bitorder="little")
+    packed[: len(bits)] = bits
+    return packed.view("<u8").astype(np.uint64, copy=False)
 
 
 def unpack_masks(words: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .bits import bit_positions, check_slots
+from .bits import bit_positions, check_slots, pack_flags
 from .errors import (
     AmountError,
     ContractError,
@@ -184,16 +184,14 @@ class SubsetSumEngine:
         """The zero sets of ``zero_sets``, packed as in ``bits.pack_masks``.
 
         One bit per live mask, set where the live table is zero, bit 0
-        (the empty set) cleared: ``max(1, 2^k / 64)`` ``uint64`` words,
+        (the empty set) cleared: ``bits.word_count(k)`` ``uint64`` words,
         2 MiB at the bound ``bits.SLOTS_MAX``, which the admitted k keeps.
         They are packed from the same zero mask as ``zero_sets``, so a
         read after a read of the same state does not scan the table again.
         """
-        packed = np.zeros(8 * max(1, (1 << len(self._node_of_slot)) >> 6), dtype=np.uint8)
-        bits = np.packbits(self._zero_mask(), bitorder="little")
-        packed[: len(bits)] = bits
-        packed[0] &= 0xFE
-        return packed.view("<u8").astype(np.uint64, copy=False)
+        words = pack_flags(self._zero_mask())
+        words[0] &= ~np.uint64(1)
+        return words
 
     # ---- the slot books and the one sums writer -------------------------
 

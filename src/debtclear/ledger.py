@@ -14,9 +14,8 @@ from typing import Iterable
 
 from .engine import SubsetSumEngine
 from .errors import LoopError, UnknownNodeError
-from .heuristics import clear_non_atomic, clear_pairs
 from .model import Borrowing, Money, NodeId, Transaction, TransactionPlan, balances_of
-from .partition import max_partition, min_removal_set, settle_part
+from .partition import clear_non_atomic, clear_pairs, max_partition, min_removal_set, settle_part
 
 
 @dataclass(frozen=True)

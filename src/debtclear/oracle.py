@@ -1,6 +1,6 @@
 """Exhaustive reference solver for desk-scale verification.
 
-Independent of the engine/heuristics/solver stack: subset sums are
+Independent of the engine and partition modules: subset sums are
 recomputed here by direct per-bit accumulation and the maximal zero-sum
 partition is found by complete enumeration over all submasks, so a bug
 shared with the fast path would have to be coincidental.

@@ -1,4 +1,4 @@
-"""Maximal zero-sum partitioning and settlement of the resulting groups.
+"""Maximal zero-sum partitioning: h, its two reductions, both DPs, settlement.
 
 Clearing all debts with the fewest payments is the same problem as
 splitting the nonzero-balance nodes into as many disjoint zero-sum
@@ -6,14 +6,33 @@ groups as possible: a group of size s settles internally with s - 1
 payments, so every extra group saves one payment.  Write h(S) for the
 most disjoint zero sets a zero set S splits into.
 
+A query carries its zero sets as a strictly ascending, positive
+``int64`` array of slot masks (``SubsetSumEngine.zero_sets``), and the
+query DP's cost grows with it.  Two reductions shrink it first; both
+keep the maximal part count, and neither ever adds a set:
+
+* ``clear_pairs``: slots i and j form a zero set exactly when
+  d_i = -d_j.  For each slot j ascending, the lowest unpaired slot
+  i < j with d_i = -d_j is paired with it: the pairs that a scan of the
+  two-element zero sets in ascending mask order keeps disjoint.  A
+  two-element part fits some optimal partition of the remainder, so
+  the pairs are committed to the answer and every set touching one is
+  dropped.
+* ``clear_non_atomic``: a set strictly containing another does no
+  better than the containee plus its complement, so only the atoms,
+  the inclusion-minimal zero sets, stay.  With the array packed as a
+  bitset Z (``bits.pack_masks``), they are Z and not
+  ``bits.strict_up``(Z), every mask strictly containing a member: one
+  whole-table closure.
+
 ``max_partition`` (the query path) is one dynamic program over slot
 masks, driven by two zero-set arrays, each strictly ascending:
 
 * ``universe`` holds every zero-sum subset of ``live`` (members outside
   ``live`` are ignored); the table has one row per such set plus the
   empty mask, and
-* ``s0`` is any subarray of ``universe`` that contains every atom, i.e.
-  every inclusion-minimal zero-sum set; it supplies the candidate parts.
+* ``s0`` is any subarray of ``universe`` that contains every atom; it
+  supplies the candidate parts.
 
 ``dp[t]`` is h(t), and each row records the numerically smallest part
 that attains it.  Any zero set ``z`` with ``dp[t \\ z] = dp[t] - 1`` is
@@ -22,8 +41,8 @@ part), so the atoms alone and the full list give the same dp and the same
 choice.
 
 ``min_removal_set`` (the departure path) takes no list.  It reads the
-packed set Z of all nonempty zero sets (``bits.pack_masks`` layout).  For
-the live mask L and the leaving slot u,
+packed set Z of all nonempty zero sets.  For the live mask L and the
+leaving slot u,
 
     h(L) = 1 + max h(C) over the zero sets C inside L without u,
 
@@ -50,15 +69,62 @@ import numpy as np
 from .bits import (
     MASK_DTYPE,
     bit_positions,
-    check_masks,
     check_slots,
+    pack_masks,
     packed_member,
     strict_up,
     unpack_masks,
     without_slot,
+    word_count,
 )
 from .errors import ContractError
 from .model import Money, NodeId, Transaction
+
+
+def _check_masks(masks: np.ndarray) -> None:
+    """Refuse a zero-set array that is not strictly ascending and positive."""
+    if len(masks) and (masks[0] <= 0 or bool(np.any(masks[1:] <= masks[:-1]))):
+        raise ContractError("masks must be positive and strictly ascending")
+
+
+def clear_pairs(
+    balances: Sequence[Money], zero_sets: np.ndarray
+) -> tuple[list[int], np.ndarray]:
+    """Commit disjoint two-element zero sets and prune everything they touch.
+
+    ``balances`` holds the balance of each slot; the pairs are chosen by
+    the pair rule of the module docstring.  Returns the pairs in commit
+    order (ascending) and the members of ``zero_sets`` disjoint from all
+    of them.
+    """
+    free: dict[Money, list[int]] = {}
+    pairs: list[int] = []
+    for j, d in enumerate(balances):
+        partners = free.get(-d)
+        if partners:
+            pairs.append((1 << partners.pop(0)) | (1 << j))
+        else:
+            free.setdefault(d, []).append(j)
+    # the pairs are disjoint, so their union is their sum
+    return pairs, zero_sets[(zero_sets & MASK_DTYPE(sum(pairs))) == 0]
+
+
+def clear_non_atomic(zero_sets: np.ndarray) -> np.ndarray:
+    """The atoms of ``zero_sets``: the members containing no other, in order.
+
+    The closure of the module docstring runs over the masks below
+    ``2^width``, width being the bit length of the largest member; an
+    array of fewer than two members has nothing to prune.  Raises
+    ``ContractError`` unless the array is strictly ascending and
+    positive, and ``CapacityError`` before allocating a bitset wider than
+    ``bits.SLOTS_MAX``.
+    """
+    _check_masks(zero_sets)
+    if len(zero_sets) < 2:
+        return zero_sets
+    width = int(zero_sets[-1]).bit_length()
+    up = strict_up(pack_masks(zero_sets, width), width)
+    return zero_sets[~packed_member(up, zero_sets)]
 
 
 @dataclass(frozen=True)
@@ -66,7 +132,10 @@ class PartitionResult:
     """A maximal partition: disjoint zero-sum parts covering the live mask."""
 
     parts: list[int]
-    part_count: int
+
+    @property
+    def part_count(self) -> int:
+        return len(self.parts)
 
 
 def _solve_dp(
@@ -118,10 +187,10 @@ def max_partition(live: int, s0: np.ndarray, universe: np.ndarray) -> PartitionR
     positive, and when ``live`` cannot be covered (nonzero total, or a
     zero set or atom withheld).
     """
-    check_masks(s0)
-    check_masks(universe)
+    _check_masks(s0)
+    _check_masks(universe)
     if live == 0:
-        return PartitionResult([], 0)
+        return PartitionResult([])
     masks, dp, choice = _solve_dp(live, s0, universe)
     i = _find(masks, live)
     if i < 0 or dp[i] < 0:
@@ -133,7 +202,7 @@ def max_partition(live: int, s0: np.ndarray, universe: np.ndarray) -> PartitionR
         part = int(choice[j])
         parts.append(part)
         t ^= part
-    return PartitionResult(parts, len(parts))
+    return PartitionResult(parts)
 
 
 def min_removal_set(zero: np.ndarray, k: int, u_slot: int) -> int:
@@ -141,24 +210,18 @@ def min_removal_set(zero: np.ndarray, k: int, u_slot: int) -> int:
     partition of the live mask ``2^k - 1`` can afford to settle now.
 
     ``zero`` is the packed set of every nonempty zero set below ``2^k``
-    (``SubsetSumEngine.zero_bits``), ``max(1, 2^k / 64)`` words.  Returns
-    the zero set P containing ``u_slot`` with ``h(live \\ P) = h(live) - 1``
-    of minimum cardinality, ties to the numerically smallest mask.  Those
-    P are ``live ^ C`` for the zero sets C without ``u_slot`` of the
-    largest h, because
-
-        h(live) = 1 + max h(C) over the zero sets C inside live without u,
-
-    h(empty set) being 0: ``live \\ C`` is a further zero set (>=), and
-    the part holding u can be dropped from an optimal partition of live
-    (<=).  The levels of these C (see the module docstring) take
-    h(live) - 1 closures; when no zero set avoids ``u_slot`` the live mask
-    is the answer, and no level is built.  Raises ``ContractError`` for a
-    negative ``k`` or a ``zero`` of any other length, and
-    ``CapacityError``, before the level bitsets are built, when ``k`` is
-    over ``bits.SLOTS_MAX``.
+    (``SubsetSumEngine.zero_bits``), ``bits.word_count(k)`` words.
+    Returns the zero set P containing ``u_slot`` with
+    ``h(live \\ P) = h(live) - 1`` of minimum cardinality, ties to the
+    numerically smallest mask, read off the last level of the departure
+    DP in the module docstring; when no zero set avoids ``u_slot`` the
+    live mask is the answer, and no level is built.  Raises
+    ``ContractError`` for a negative ``k``, a ``zero`` of any other
+    length or a ``u_slot`` outside the live mask, and ``CapacityError``,
+    before the level bitsets are built, when ``k`` is over
+    ``bits.SLOTS_MAX``.
     """
-    if k < 0 or len(zero) != max(1, (1 << k) >> 6):
+    if k < 0 or len(zero) != word_count(k):
         raise ContractError(f"{len(zero)} words cannot hold the zero sets below 2^{k}")
     live = (1 << k) - 1
     if not 0 <= u_slot < k:

@@ -5,11 +5,13 @@ from debtclear import CapacityError
 from debtclear.bits import (
     bit_positions,
     check_slots,
+    pack_flags,
     pack_masks,
     packed_member,
     strict_up,
     unpack_masks,
     without_slot,
+    word_count,
 )
 
 
@@ -26,13 +28,16 @@ def brute_strict_up(members: set[int], width: int) -> set[int]:
 @pytest.mark.parametrize("width", range(12))
 def test_strict_up_matches_brute_force(width):
     # width < 6 pads to one word, 7..9 add the strided slots 6..8, and 10
-    # and 11 add the word-view slots 9 and 10
+    # and 11 add the word-view slots 9 and 10; both packers agree
     rng = np.random.default_rng(width)
     for density in (0.02, 0.2, 0.6):
-        masks = np.flatnonzero(rng.random(1 << width) < density).astype(np.int64)
+        flags = rng.random(1 << width) < density
+        masks = np.flatnonzero(flags).astype(np.int64)
         members = set(masks.tolist())
         words = pack_masks(masks, width)
-        assert len(words) == max(1, (1 << width) >> 6)
+        assert len(words) == word_count(width) == max(1, (1 << width) >> 6)
+        flagged = pack_flags(flags)
+        assert flagged.dtype == words.dtype and np.array_equal(flagged, words)
         every = np.arange(1 << width)
         assert set(np.flatnonzero(packed_member(words, every)).tolist()) == members
         assert unpack_masks(words).tolist() == sorted(members)
