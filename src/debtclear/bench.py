@@ -4,7 +4,7 @@ The 15 generated structures follow the classic contest suite for this
 problem: paths, cycles, stars, pair- and triple-heavy balance profiles,
 and random multigraphs.  Structured cases (1-6, 13, 14) pin the balance
 vector exactly and therefore have known optimal plan sizes; the random
-ones (7-12, 15) are seeded and checked against the exhaustive oracle
+ones (7-12, 15) are seeded and checked against the exact oracle
 where it fits.
 """
 

@@ -10,8 +10,8 @@ words: mask m is bit ``m % 64`` of word ``m // 64``.  Slot j < 6 then
 runs inside every word (its partner bits are ``2^j`` apart), and slot
 j >= 6 pairs whole words ``2^(j - 6)`` apart, so a pass over one slot is
 either a masked shift of every word or an OR between word runs
-``2^(j - 6)`` long, and dropping the members that hold slot j either
-masks every word or clears every other run.
+``2^(j - 6)`` long, and dropping slot j either gathers the kept half of
+every word into its low 32 bits or keeps every other run.
 
 This module is the one owner of that layout: ``pack_masks`` packs a
 mask array, ``pack_flags`` one flag per mask (the engine's zero mask),
@@ -107,13 +107,15 @@ def packed_member(words: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return ((words[masks >> 6] >> (masks & 63).astype(np.uint64)) & np.uint64(1)) != 0
 
 
-def without_slot(words: np.ndarray, j: int) -> np.ndarray:
-    """A copy of the packed set ``words`` without the members that hold slot j."""
-    if j < 6:
-        return words & _LOW[j]
-    out = words.copy()
-    out.reshape(-1, 2, 1 << (j - 6))[:, 1] = 0
-    return out
+def drop_slot(words: np.ndarray, j: int) -> np.ndarray:
+    """A copy of the packed set ``words`` without the members that hold slot j,
+    one slot narrower: the slots above j move down by one, the order stays."""
+    if j >= 6:
+        return words.reshape(-1, 2, 1 << (j - 6))[:, 0].flatten()
+    x = words & _LOW[j]
+    for s in range(j, 5):
+        x = (x | x >> _SHIFT[s]) & _LOW[s + 1]
+    return x if len(x) == 1 else x[0::2] | x[1::2] << np.uint64(32)
 
 
 def _spread(dst: np.ndarray, src: np.ndarray, j: int) -> None:

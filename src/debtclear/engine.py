@@ -34,7 +34,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .bits import bit_positions, check_slots, pack_flags
+from .bits import bit_positions, check_slots
 from .errors import (
     AmountError,
     ContractError,
@@ -97,10 +97,11 @@ class SubsetSumEngine:
     allocated, whatever width the balances need.  At the bound the table
     holds at most 128 MiB (int64) and the zero mask 16 MiB.
 
-    The zero mask, one ``bool`` per live mask (``2^k`` bytes), lives from
-    the first ``zero_sets`` or ``zero_bits`` after a write to the next
-    ``_refresh``, the one place that drops it.  Filling it is idempotent,
-    so concurrent reads of a frozen engine stay safe.
+    The zero mask, one read-only ``bool`` per live mask (``2^k`` bytes),
+    lives from the first ``zero_mask`` or ``zero_sets`` after a write to
+    the next ``_refresh``, the one place that drops it; departures read it
+    as it is, queries as the list ``zero_sets``.  Filling it is
+    idempotent, so concurrent reads of a frozen engine stay safe.
     """
 
     def __init__(self) -> None:
@@ -162,11 +163,17 @@ class SubsetSumEngine:
             raise StaleMaskError(f"mask {mask:#x} is not contained in the live mask")
         return int(self._sums[mask])
 
-    def _zero_mask(self) -> np.ndarray:
-        """``sums[:2^k] == 0``, computed by the first read after a write."""
+    def zero_mask(self) -> np.ndarray:
+        """``sums[:2^k] == 0``, one read-only ``bool`` per live mask.
+
+        The first read after a write scans the table; every read until
+        the next write returns that same array.
+        """
         zero = self._zero
         if zero is None:
-            zero = self._zero = self._sums == 0
+            zero = self._sums == 0
+            zero.flags.writeable = False  # before another reader can see it
+            self._zero = zero
         return zero
 
     def zero_sets(self) -> np.ndarray:
@@ -174,24 +181,10 @@ class SubsetSumEngine:
 
         They are the positions of the zero entries of the live table, as
         a strictly ascending ``int64`` array, without position 0: the
-        empty set, whose sum is always zero.  The table is scanned once
-        per state: the first read after a write keeps the zero mask
-        (``2^k`` bytes) until the next write.
+        empty set, whose sum is always zero.  They are read from
+        ``zero_mask``, so the table is scanned once per state.
         """
-        return np.flatnonzero(self._zero_mask())[1:]
-
-    def zero_bits(self) -> np.ndarray:
-        """The zero sets of ``zero_sets``, packed as in ``bits.pack_masks``.
-
-        One bit per live mask, set where the live table is zero, bit 0
-        (the empty set) cleared: ``bits.word_count(k)`` ``uint64`` words,
-        2 MiB at the bound ``bits.SLOTS_MAX``, which the admitted k keeps.
-        They are packed from the same zero mask as ``zero_sets``, so a
-        read after a read of the same state does not scan the table again.
-        """
-        words = pack_flags(self._zero_mask())
-        words[0] &= ~np.uint64(1)
-        return words
+        return np.flatnonzero(self.zero_mask())[1:]
 
     # ---- the slot books and the one sums writer -------------------------
 

@@ -25,8 +25,8 @@ class CapacityError(DebtClearError):
     """A table would span more than ``bits.SLOTS_MAX`` (24) slots.
 
     Raised before anything changes or is allocated: an arc or rebuild that
-    would leave more nonzero balances, a departure whose level bitsets
-    would span more slots, or a packed mask set wider than the bound.
+    would leave more nonzero balances, a departure over a zero mask of more
+    slots, or a packed mask set wider than the bound.
     """
 
 
@@ -39,7 +39,7 @@ class ContractError(DebtClearError):
 
 
 class OracleLimitError(DebtClearError):
-    """The exhaustive oracle was asked to search beyond its size guard."""
+    """The exact oracle was asked to check more balances than its guard admits."""
 
 
 class ParseError(DebtClearError):

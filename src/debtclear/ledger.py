@@ -115,8 +115,8 @@ class Ledger:
 
         The group is chosen so the rest of the graph can still reach its
         optimal plan afterwards, by the level DP of ``min_removal_set`` on
-        the packed zero sets of the whole live table: no zero-set list, and
-        no pair extraction, which can hide the group that best covers ``u``.
+        the engine's zero mask: no zero-set list, and no pair extraction,
+        which can hide the group that best covers ``u``.
         Every settled member stays a live node with zero balance; only
         ``u`` itself is retired.  A ``CapacityError`` changes nothing.
         """
@@ -125,7 +125,7 @@ class Ledger:
             self._live.remove(u)
             return []
         part = min_removal_set(
-            self._engine.zero_bits(), self._engine.vstar_size, self._engine.slot_of(u)
+            self._engine.zero_mask(), self._engine.vstar_size, self._engine.slot_of(u)
         )
         txns = settle_part(part, self._engine.node_slots(), self._engine.balances())
         self._engine.clear_block(part)

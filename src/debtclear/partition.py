@@ -41,22 +41,22 @@ part), so the atoms alone and the full list give the same dp and the same
 choice.
 
 ``min_removal_set`` (the departure path) takes no list.  It reads the
-packed set Z of all nonempty zero sets.  For the live mask L and the
-leaving slot u,
+engine's zero mask (``SubsetSumEngine.zero_mask``), one ``bool`` per
+mask below ``2^k``.  For the live mask L and the leaving slot u,
 
     h(L) = 1 + max h(C) over the zero sets C inside L without u,
 
 with h(empty set) = 0: L \\ C is a further nonempty zero set, which gives
 >=, and dropping the part that holds u from an optimal partition of L
-gives <=.  So it builds levels only over the u-free zero sets, A'_p =
-{u-free zero sets S : h(S) >= p}: A'_1 = Z without the masks holding u,
-and A'_(p+1) = A'_1 and ``bits.strict_up``(A'_p), because a zero set
-splits into p + 1 parts exactly when it strictly contains a zero set
-that splits into p (the difference of two nested zero sets is again a
-zero set), and the subsets of a u-free set are u-free too.  The last
-nonempty level is A'_(h(L) - 1), reached with h(L) - 1 closures, and
-P = L ^ C over its members C are exactly the groups holding u that leave
-the rest optimal.
+gives <=.  So its levels A'_p = {u-free zero sets S : h(S) >= p} live on
+the u-free half cube, the masks below ``2^(k - 1)`` once u is dropped
+(``bits.drop_slot``).  A'_1 is the u-free zero sets, and A'_(p+1) = A'_1
+and ``bits.strict_up``(A'_p) at width k - 1: a zero set splits into
+p + 1 parts exactly when it strictly contains one that splits into p
+(the difference of two nested zero sets is again a zero set), and the
+subsets of a u-free set are u-free too.  The last nonempty level is
+A'_(h(L) - 1), after h(L) - 1 closures; with u put back into its members
+C, P = L ^ C are exactly the groups holding u that leave the rest optimal.
 """
 
 from __future__ import annotations
@@ -70,12 +70,12 @@ from .bits import (
     MASK_DTYPE,
     bit_positions,
     check_slots,
+    drop_slot,
+    pack_flags,
     pack_masks,
     packed_member,
     strict_up,
     unpack_masks,
-    without_slot,
-    word_count,
 )
 from .errors import ContractError
 from .model import Money, NodeId, Transaction
@@ -205,42 +205,49 @@ def max_partition(live: int, s0: np.ndarray, universe: np.ndarray) -> PartitionR
     return PartitionResult(parts)
 
 
+def _levels(free: np.ndarray, width: int) -> np.ndarray:
+    """The last nonempty level A'_p from A'_1 = ``free``, packed below ``2^width``."""
+    level = free
+    while True:
+        up = strict_up(level, width)
+        up &= free
+        if not up.any():
+            return level
+        level = up
+
+
 def min_removal_set(zero: np.ndarray, k: int, u_slot: int) -> int:
     """Smallest zero-sum group containing slot ``u_slot`` that an optimal
     partition of the live mask ``2^k - 1`` can afford to settle now.
 
-    ``zero`` is the packed set of every nonempty zero set below ``2^k``
-    (``SubsetSumEngine.zero_bits``), ``bits.word_count(k)`` words.
-    Returns the zero set P containing ``u_slot`` with
+    ``zero`` is the live table's zero mask (``SubsetSumEngine.zero_mask``),
+    one ``bool`` per mask below ``2^k``, only read.  Returns the zero set P
+    containing ``u_slot`` with
     ``h(live \\ P) = h(live) - 1`` of minimum cardinality, ties to the
     numerically smallest mask, read off the last level of the departure
     DP in the module docstring; when no zero set avoids ``u_slot`` the
     live mask is the answer, and no level is built.  Raises
-    ``ContractError`` for a negative ``k``, a ``zero`` of any other
-    length or a ``u_slot`` outside the live mask, and ``CapacityError``,
-    before the level bitsets are built, when ``k`` is over
-    ``bits.SLOTS_MAX``.
+    ``ContractError`` for a negative ``k``, a ``zero`` of another dtype
+    or shape, a ``u_slot`` outside the live mask or a live mask that is
+    not a zero set, and ``CapacityError``, before the level bitsets are
+    built, when ``k`` is over ``bits.SLOTS_MAX``.
     """
-    if k < 0 or len(zero) != word_count(k):
-        raise ContractError(f"{len(zero)} words cannot hold the zero sets below 2^{k}")
+    if k < 0 or zero.dtype != np.bool_ or zero.shape != (1 << k,):
+        raise ContractError(f"a {zero.dtype} array of shape {zero.shape} is no mask of {k} slots")
     live = (1 << k) - 1
     if not 0 <= u_slot < k:
         raise ContractError(f"slot {u_slot} is not in the live mask")
-    if not packed_member(zero, np.array([live]))[0]:
+    if not zero[live]:
         raise ContractError("the live mask is not a zero set")
-    free = without_slot(zero, u_slot)  # A'_1
-    if not free.any():
+    # S and live ^ S are both zero sets, and one avoids u, unless S is live
+    if np.count_nonzero(zero) == 2:
         return live
     check_slots(k, "the departure's level bitsets")
-    level = free
-    while True:
-        up = strict_up(level, k)
-        up &= free
-        if not up.any():
-            break
-        level = up
-    # level is A'_(h(live) - 1): its members C leave P = live ^ C, and no other does
-    p = unpack_masks(level) ^ MASK_DTYPE(live)
+    free = drop_slot(pack_flags(zero), u_slot)  # A'_1 and the empty set
+    free[0] &= ~np.uint64(1)
+    c = unpack_masks(_levels(free, k - 1))  # the members C of A'_(h(live) - 1)
+    low = MASK_DTYPE((1 << u_slot) - 1)
+    p = ((c & low) | ((c & ~low) << 1)) ^ MASK_DTYPE(live)  # u back in, then live ^ C
     order = np.lexsort((p, np.bitwise_count(p)))
     return int(p[order[0]])
 

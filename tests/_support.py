@@ -99,3 +99,25 @@ def random_instance(seed: int, max_n: int = 9, max_m: int = 30, max_w: int = 10)
             v += 1
         arcs.append(Borrowing(u, v, rng.randint(1, max_w)))
     return n, arcs
+
+
+def growth_balances(k: int, seed: int) -> list[int]:
+    """k seeded balances, even positives against odd negatives, all at most 18.
+
+    Parity rules out every zero-sum pair, yet many larger zero sets
+    remain.  The negatives are an even count, so the totals can match.
+    """
+    rng = SplitMix64(seed)
+    neg_count = k // 2 - (k // 2) % 2
+    while True:
+        neg = [-(2 * rng.randint(0, 8) + 1) for _ in range(neg_count)]
+        pos = [2 * rng.randint(1, 9) for _ in range(k - neg_count - 1)]
+        last = -sum(neg) - sum(pos)
+        if 2 <= last <= 18:
+            return neg + pos + [last]
+
+
+def hub_arcs(balances: list[int]) -> list[Borrowing]:
+    """Borrowings that give node i ``balances[i]`` through a hub node k."""
+    hub = len(balances)
+    return [Borrowing(i, hub, d) if d > 0 else Borrowing(hub, i, -d) for i, d in enumerate(balances)]

@@ -5,6 +5,7 @@ import pytest
 from debtclear import bits
 from debtclear import (
     CASE_TABLE,
+    ORACLE_LIMIT,
     BenchError,
     CaseSpec,
     Ledger,
@@ -119,7 +120,7 @@ def test_random_cases_agree_with_oracle_when_small():
     for test_id in (9, 10, 11):
         n, arcs = generate_case(CaseSpec(test_id))
         debts = balances_of(arcs)
-        if sum(1 for v in debts.values() if v != 0) > 16:
+        if sum(1 for v in debts.values() if v != 0) > ORACLE_LIMIT:
             continue
         assert len(solve_static(arcs, n)) == oracle_max_zero_partition(debts).min_transactions
 

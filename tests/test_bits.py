@@ -5,12 +5,12 @@ from debtclear import CapacityError
 from debtclear.bits import (
     bit_positions,
     check_slots,
+    drop_slot,
     pack_flags,
     pack_masks,
     packed_member,
     strict_up,
     unpack_masks,
-    without_slot,
     word_count,
 )
 
@@ -46,13 +46,16 @@ def test_strict_up_matches_brute_force(width):
 
 
 @pytest.mark.parametrize("width", [1, 5, 6, 7, 10])
-def test_without_slot_matches_brute_force(width):
-    # slots below 6 mask every word, slots 6 and up clear every other run
+def test_drop_slot_matches_brute_force(width):
+    # slots below 6 gather inside every word, slots 6 and up keep every other run
     masks = np.flatnonzero(np.random.default_rng(width).random(1 << width) < 0.5)
     words = pack_masks(masks, width)
     for j in range(width):
-        out = without_slot(words, j)
-        assert unpack_masks(out).tolist() == [m for m in masks.tolist() if not m >> j & 1]
+        out = drop_slot(words, j)
+        low = (1 << j) - 1
+        want = [m & low | m >> 1 & ~low for m in masks.tolist() if not m >> j & 1]
+        assert len(out) == word_count(width - 1) and unpack_masks(out).tolist() == want
+        assert not np.shares_memory(out, words)
         assert np.array_equal(unpack_masks(words), masks)  # the input is left as it was
 
 

@@ -559,9 +559,22 @@ def read_zero_mask(eng):
     sets = eng.zero_sets()
     mask = eng._zero
     assert mask is not None
-    assert np.array_equal(eng.zero_bits(), bits.pack_masks(sets, eng.vstar_size))
-    assert eng._zero is mask  # the second read did not scan again
+    assert eng.zero_mask() is mask  # the second read did not scan again
+    assert np.array_equal(mask, eng._sums[: 1 << eng.vstar_size] == 0)
+    assert np.array_equal(np.flatnonzero(mask)[1:], sets)
     return mask
+
+
+def test_the_zero_mask_is_read_only():
+    eng = SubsetSumEngine()
+    eng.rebuild_from_debts({1: 4, 2: -4, 5: 3})
+    mask = eng.zero_mask()
+    with pytest.raises(ValueError):
+        mask[0b011] = False
+    with pytest.raises(ValueError):
+        mask[0b101] = True
+    assert eng.zero_mask() is mask
+    assert list(eng.zero_sets()) == [0b011]
 
 
 @pytest.mark.parametrize(
@@ -612,8 +625,8 @@ def test_concurrent_reads_fill_the_zero_mask_alike():
     # (both endpoints stay nonzero, so no slot moves)
     eng = SubsetSumEngine()
     eng.rebuild_from_debts({u: (u % 5 + 2) * (-1) ** u for u in range(9)} | {9: -6})
-    want_sets = np.flatnonzero(eng._sums[: 1 << eng.vstar_size] == 0)[1:]
-    want_bits = bits.pack_masks(want_sets, eng.vstar_size)
+    want_mask = eng._sums[: 1 << eng.vstar_size] == 0
+    want_sets = np.flatnonzero(want_mask)[1:]
     assert len(want_sets) > 1
     rounds, readers = 100, 4
     start = threading.Barrier(readers + 1, timeout=10)
@@ -626,7 +639,7 @@ def test_concurrent_reads_fill_the_zero_mask_alike():
             if i % 2:
                 ok = np.array_equal(eng.zero_sets(), want_sets)
             else:
-                ok = np.array_equal(eng.zero_bits(), want_bits)
+                ok = np.array_equal(eng.zero_mask(), want_mask)
             if not ok:
                 wrong.append(i)
             done.wait()
@@ -684,8 +697,10 @@ def test_ground_truth_after_any_sequence(ops):
     # both views read one mask, so each is also checked against enumeration
     brute = sorted(mask_of_nodes(eng, nodes) for nodes in brute_zero_node_sets(eng.balances()))
     assert eng.zero_sets().tolist() == brute
-    packed = bits.pack_masks(np.array(brute, dtype=np.int64), eng.vstar_size)
-    assert np.array_equal(eng.zero_bits(), packed)
+    want = np.zeros(1 << eng.vstar_size, dtype=bool)
+    want[[0] + brute] = True  # the empty set too
+    assert np.array_equal(eng.zero_mask(), want)
+    assert eng.zero_mask() is eng.zero_mask()
     assert None not in eng.node_slots()
     # a node holds a slot iff its balance is nonzero
     balances = eng.balances()

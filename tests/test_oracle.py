@@ -1,17 +1,20 @@
 import pytest
 
 from debtclear import (
+    CASE_TABLE,
+    CaseSpec,
     ContractError,
     MoneyOverflowError,
     OracleLimitError,
     balances_of,
+    generate_case,
     oracle_max_zero_partition,
     solve_static,
 )
 from debtclear.bits import bit_positions
 from debtclear.model import MONEY_MAX
 
-from _support import EXAMPLE1, EXAMPLE1_BALANCES, random_instance
+from _support import EXAMPLE1, EXAMPLE1_BALANCES, growth_balances, hub_arcs, random_instance
 
 
 def test_oracle_worked_example():
@@ -32,8 +35,9 @@ def test_oracle_all_zero():
 
 
 def test_oracle_size_guard():
-    debts = {i: 1 for i in range(17)}
-    debts[99] = -17
+    # one balance over the guard of 20
+    debts = {i: 1 for i in range(20)}
+    debts[99] = -20
     with pytest.raises(OracleLimitError):
         oracle_max_zero_partition(debts)
 
@@ -78,3 +82,18 @@ def test_oracle_agrees_with_solver(seed):
     assert len(solve_static(arcs, n)) == res.min_transactions
     vstar = sum(1 for d in debts.values() if d != 0)
     assert res.min_transactions == vstar - res.max_parts
+
+
+@pytest.mark.parametrize("source", ["growth17", "growth18", "growth19", "growth20", 5, 12, 13, 14])
+def test_oracle_agrees_with_solver_at_17_to_20_balances(source):
+    if isinstance(source, str):
+        k = int(source.removeprefix("growth"))
+        arcs = hub_arcs(growth_balances(k, k))
+        n, known = k + 1, None
+    else:
+        (n, arcs), known = generate_case(CaseSpec(source)), CASE_TABLE[source][2]
+    debts = balances_of(arcs)
+    assert 17 <= sum(1 for d in debts.values() if d) <= 20
+    res = oracle_max_zero_partition(debts)
+    validate_witness(debts, res)
+    assert res.min_transactions == (known if known is not None else len(solve_static(arcs, n)))

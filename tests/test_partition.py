@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from debtclear import (
     CapacityError,
+    CaseSpec,
     ContractError,
     Transaction,
     balances_of,
     clear_non_atomic,
+    generate_case,
     max_partition,
     min_removal_set,
     oracle_max_zero_partition,
@@ -19,7 +21,7 @@ from debtclear import (
 from debtclear import bits, partition
 from debtclear.engine import SubsetSumEngine
 
-from _support import random_instance
+from _support import growth_balances, random_instance
 
 
 def zsl(*masks):
@@ -93,21 +95,21 @@ def remove_fixture():
 def test_min_removal_worked_example():
     eng = remove_fixture()
     # node 4 sits in slot 3; the only small zero-sum group covering it is {4,5}
-    p = min_removal_set(eng.zero_bits(), eng.vstar_size, 3)
+    p = min_removal_set(eng.zero_mask(), eng.vstar_size, 3)
     assert p == 0b11000
 
 
 def test_min_removal_pair_remainder():
     eng = SubsetSumEngine()
     eng.rebuild_from_debts({1: 10, 5: -10})
-    p = min_removal_set(eng.zero_bits(), eng.vstar_size, 0)
+    p = min_removal_set(eng.zero_mask(), eng.vstar_size, 0)
     assert p == 0b11
 
 
 def test_min_removal_requires_live_slot():
     eng = remove_fixture()
     with pytest.raises(ContractError):
-        min_removal_set(eng.zero_bits(), eng.vstar_size, 7)
+        min_removal_set(eng.zero_mask(), eng.vstar_size, 7)
 
 
 @pytest.mark.parametrize("slot", [-1, -64, 2, 64])
@@ -115,21 +117,45 @@ def test_min_removal_refuses_a_slot_outside_the_live_mask(slot):
     eng = SubsetSumEngine()
     eng.rebuild_from_debts({1: 2, 2: -2})
     with pytest.raises(ContractError):
-        min_removal_set(eng.zero_bits(), 2, slot)
+        min_removal_set(eng.zero_mask(), 2, slot)
 
 
 def test_min_removal_refuses_a_zero_array_of_another_length():
-    # max(1, 2^k / 64) words: one below 2^6, 2^(k - 6) from there
+    # one bool per mask below 2^k, and nothing else
     with pytest.raises(ContractError):
-        min_removal_set(np.zeros(1, np.uint64), 10, 0)  # short
+        min_removal_set(np.zeros(1, bool), 10, 0)  # short
     with pytest.raises(ContractError):
-        min_removal_set(np.zeros(1, np.uint64), -1, 0)  # no length fits
+        min_removal_set(np.zeros(1, bool), -1, 0)  # no length fits
     eng = remove_fixture()
-    zero = eng.zero_bits()
+    zero = eng.zero_mask()
     with pytest.raises(ContractError):
         min_removal_set(np.concatenate([zero, zero]), eng.vstar_size, 3)  # long
     with pytest.raises(ContractError):
         min_removal_set(zero[:0], eng.vstar_size, 3)  # empty
+    with pytest.raises(ContractError):
+        min_removal_set(zero.reshape(4, -1), eng.vstar_size, 3)  # not flat
+    # the right length, not bool
+    for other in (zero.astype(np.uint8), zero.astype(np.int8), zero.astype(np.int64)):
+        with pytest.raises(ContractError):
+            min_removal_set(other, eng.vstar_size, 3)
+    with pytest.raises(ContractError):
+        min_removal_set(bits.pack_flags(zero), eng.vstar_size, 3)  # packed words
+
+
+def test_min_removal_leaves_the_zero_mask_as_it_was():
+    for seed in range(10):
+        n, arcs = random_instance(seed, max_n=9, max_m=18, max_w=5)
+        eng = SubsetSumEngine()
+        eng.rebuild_from_debts(balances_of(arcs))
+        zero = eng.zero_mask()
+        mine = zero.copy()  # writable, unlike the engine's
+        for slot in range(eng.vstar_size):
+            assert min_removal_set(mine, eng.vstar_size, slot) == min_removal_set(
+                zero, eng.vstar_size, slot
+            )
+        assert eng.zero_mask() is zero
+        assert np.array_equal(zero, eng._sums[: 1 << eng.vstar_size] == 0)
+        assert np.array_equal(mine, zero)
 
 
 def test_min_removal_satisfies_dp_identity():
@@ -145,7 +171,7 @@ def test_min_removal_satisfies_dp_identity():
         for slot in range(live.bit_length()):
             if not live >> slot & 1:
                 continue
-            p = min_removal_set(eng.zero_bits(), eng.vstar_size, slot)
+            p = min_removal_set(eng.zero_mask(), eng.vstar_size, slot)
             assert p & (1 << slot)
             assert eng.subset_sum(p) == 0
             rest = live ^ p
@@ -158,7 +184,7 @@ def test_min_removal_prefers_smallest_cardinality():
     # slot 0 can leave inside a pair or inside the whole triple-joined mask
     eng = SubsetSumEngine()
     eng.rebuild_from_debts({1: 1, 2: -1, 3: 1, 4: -1})
-    p = min_removal_set(eng.zero_bits(), eng.vstar_size, 0)
+    p = min_removal_set(eng.zero_mask(), eng.vstar_size, 0)
     assert p == 0b0011  # pair beats any 4-element cover
 
 
@@ -190,7 +216,7 @@ def test_min_removal_matches_brute_force(vals, data):
         and keeps_rest_optimal(p)
     ]
     expected = min(groups, key=lambda p: (p.bit_count(), p))
-    assert min_removal_set(eng.zero_bits(), k, u) == expected
+    assert min_removal_set(eng.zero_mask(), k, u) == expected
 
 
 def test_min_removal_without_proper_zero_subset_is_live(monkeypatch):
@@ -203,7 +229,7 @@ def test_min_removal_without_proper_zero_subset_is_live(monkeypatch):
     monkeypatch.setattr(partition, "strict_up", no_closure)
     eng = SubsetSumEngine()
     eng.rebuild_from_debts({0: 1, 1: 2, 2: -3})
-    zero = eng.zero_bits()
+    zero = eng.zero_mask()
     monkeypatch.setattr(bits, "SLOTS_MAX", 2)
     for slot in range(3):
         assert min_removal_set(zero, 3, slot) == 0b111
@@ -227,16 +253,44 @@ def test_min_removal_builds_one_level_fewer_than_the_parts(vals, data):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(partition, "strict_up", counted)
-        min_removal_set(eng.zero_bits(), k, data.draw(st.integers(0, k - 1)))
+        min_removal_set(eng.zero_mask(), k, data.draw(st.integers(0, k - 1)))
     assert len(calls) == oracle_parts(tuple(sorted(vals))) - 1
+    # every closure runs over the half cube without the leaver
+    assert all(width == k - 1 for width in calls)
 
 
 def test_min_removal_level_bitsets_count_against_budget(monkeypatch):
     eng = remove_fixture()
-    zero = eng.zero_bits()
+    zero = eng.zero_mask()
     monkeypatch.setattr(bits, "SLOTS_MAX", eng.vstar_size - 1)
     with pytest.raises(CapacityError):
         min_removal_set(zero, eng.vstar_size, 3)
+
+
+def case_balances(test_id: int) -> list[int]:
+    n, arcs = generate_case(CaseSpec(test_id))
+    return [d for d in balances_of(arcs).values() if d]
+
+
+@pytest.mark.parametrize(
+    "vals",
+    [growth_balances(k, k) for k in (17, 18, 19, 20)] + [case_balances(t) for t in (5, 13, 14)],
+    ids=["growth17", "growth18", "growth19", "growth20", "case5", "case13", "case14"],
+)
+def test_min_removal_keeps_the_rest_optimal_at_17_to_20_slots(vals):
+    # slot 0 runs inside every word, 5 is the top in-word slot, 6 and 8
+    # the strided slots and 9 the first word-view slot; k - 1 is the top
+    eng = SubsetSumEngine()
+    eng.rebuild_from_debts(dict(enumerate(vals)))  # node i holds slot i
+    k = len(vals)
+    assert 17 <= k <= 20
+    full = oracle_parts(tuple(sorted(vals)))
+    for u in sorted({0, 5, 6, 8, 9, k - 1}):
+        p = min_removal_set(eng.zero_mask(), k, u)
+        assert p >> u & 1
+        assert sum(vals[i] for i in bits.bit_positions(p)) == 0
+        rest = tuple(sorted(vals[i] for i in range(k) if not p >> i & 1))
+        assert (oracle_parts(rest) if rest else 0) == full - 1
 
 
 # ---- settle_part ------------------------------------------------------------
